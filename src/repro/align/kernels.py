@@ -5,11 +5,12 @@ Two kernels mirror the two hardware sub-modules of §4.3:
 * :func:`compute_kernel` — Eq. 3 across a whole frame column at once,
   optionally emitting the 5-bit per-cell origin codes that the Compute
   sub-module concatenates into backtrace blocks.
-* :func:`extend_kernel` — greedy match extension in 16-base blocks, the
-  exact dataflow of the Extend sub-module (compare a block per cycle until
-  a mismatch or a sequence end), vectorised across all live cells of the
-  frame column.  It reports the number of block comparisons per cell so
-  cycle models can charge the same work the hardware would do.
+* :func:`extend_kernel` — greedy match extension across all live cells
+  of the frame column, comparing 8-byte words.  From each cell's match
+  length it derives, in closed form, the number of 16-base blocks the
+  Extend sub-module compares (one per cycle until a mismatch or a
+  sequence end), so cycle models charge the same work the hardware
+  would do.
 
 Both kernels use the paper's conventions: ``offset = j``, ``k = j - i``,
 :data:`NULL_OFFSET` for unreachable cells.
@@ -43,6 +44,7 @@ __all__ = [
     "extend_kernel_batched",
     "gather_window_batched",
     "pad_sequence",
+    "sequence_words",
 ]
 
 #: Per-pair ``lo`` placeholder meaning "this pair has no wavefront at this
@@ -143,6 +145,20 @@ def compute_kernel(
     return ComputeOutput(m=mwf, i=ins, d=dele, origins=origins)
 
 
+#: Bytes (bases) compared per word operation of :func:`extend_kernel`.
+_WORD_BYTES = 8
+_ONE = np.uint64(1)
+
+
+def _lowest_bit_exponent(diff: np.ndarray) -> np.ndarray:
+    """``b + 1`` for the lowest set bit ``b`` of each word, 0 for a zero word.
+
+    ``diff & -diff`` isolates that bit; as a float64 it is an exact power
+    of two, whose ``frexp`` exponent is ``b + 1``.
+    """
+    return np.frexp((diff & (~diff + _ONE)).astype(np.float64))[1]
+
+
 def pad_sequence(seq: str, *, sentinel: int, block: int = 16) -> np.ndarray:
     """Sequence bytes followed by ``block`` sentinel bytes.
 
@@ -152,6 +168,20 @@ def pad_sequence(seq: str, *, sentinel: int, block: int = 16) -> np.ndarray:
     """
     raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
     return np.concatenate([raw, np.full(block, sentinel, dtype=np.uint8)])
+
+
+def sequence_words(seq: str, *, sentinel: int) -> np.ndarray:
+    """One little-endian 8-byte word per byte offset of a padded sequence.
+
+    ``words[p]`` holds bytes ``p..p+7`` of :func:`pad_sequence`, byte
+    ``p`` lowest, for every ``p`` up to ``len(seq) + 8``: the comparison
+    operand :func:`extend_kernel` gathers for a cell at row or column
+    ``p``.  The array is contiguous, which gathers several times faster
+    than an unaligned strided view of the padded bytes.
+    """
+    padded = pad_sequence(seq, sentinel=sentinel)
+    count = len(padded) - _WORD_BYTES + 1
+    return np.ndarray((count,), dtype="<u8", buffer=padded, strides=(1,)).copy()
 
 
 @dataclass(frozen=True)
@@ -381,8 +411,8 @@ def extend_kernel_batched(
 
 
 def extend_kernel(
-    av_pad: np.ndarray,
-    bv_pad: np.ndarray,
+    a_words: np.ndarray,
+    b_words: np.ndarray,
     n: int,
     m: int,
     offsets: np.ndarray,
@@ -390,51 +420,53 @@ def extend_kernel(
     *,
     block: int = 16,
 ) -> ExtendOutput:
-    """extend() for one frame column, in 16-base blocks.
+    """extend() for one frame column, comparing 8-byte words.
 
-    ``av_pad``/``bv_pad`` come from :func:`pad_sequence` with distinct
-    sentinels.  ``offsets`` holds the pre-extension M offsets for diagonals
+    ``a_words``/``b_words`` come from :func:`sequence_words` with distinct
+    sentinels; build them once per alignment, not per call.  ``offsets``
+    holds the pre-extension M offsets for diagonals
     ``lo..lo+len(offsets)-1``; NULL cells are skipped.
 
-    The block loop is a faithful model of the Extend sub-module: each
-    iteration consumes one comparator operation per still-active cell
-    (16 bases compared in parallel), and a cell retires on its first
-    block containing a mismatch or a sequence end.
+    Every live cell inside both sequences finds its match length ``L``
+    one word at a time: the lowest set byte of ``a[i:i+8] ^ b[j:j+8]``
+    ends the run, and a sentinel byte always differs, so no bounds
+    checks are needed.  The Extend sub-module's work follows in closed
+    form.  It compares ``block`` bases per operation until one holds a
+    mismatch or a sequence end, so a cell costs
+    ``(L + block - at_end) // block`` blocks, where ``at_end`` means the
+    run stopped at ``n`` or ``m``.  ``matches`` is ``sum(L)`` and
+    ``comparisons`` (scalar-equivalent) adds one discovery compare per
+    cell that stopped on a mismatch inside both sequences.
     """
-    width = len(offsets)
     out = offsets.astype(np.int64, copy=True)
-    blocks = np.zeros(width, dtype=np.int64)
-    ks = np.arange(lo, lo + width, dtype=np.int64)
+    blocks = np.zeros(len(out), dtype=np.int64)
+    ks = np.arange(lo, lo + len(out), dtype=np.int64)
+    cells = np.flatnonzero((out >= 0) & (out < m) & (out - ks < n))
+    j0 = out[cells]
+    i0 = j0 - ks[cells]
 
-    live = out >= 0
-    j = np.where(live, out, 0)
-    i = np.where(live, j - ks, 0)
-    sel = np.flatnonzero(live & (i < n) & (j < m))
-    total_matches = 0
-    total_comparisons = 0
-    span = np.arange(block, dtype=np.int64)
+    # ``run`` is the byte index of the first difference, or -1 (to be
+    # overwritten) for cells whose whole word matched; those go on.
+    exp = _lowest_bit_exponent(a_words[i0] ^ b_words[j0])
+    run = (exp - 1) >> 3
+    todo = np.flatnonzero(exp == 0)
+    matched = _WORD_BYTES
+    while todo.size:
+        exp = _lowest_bit_exponent(
+            a_words[i0[todo] + matched] ^ b_words[j0[todo] + matched]
+        )
+        run[todo] = matched + ((exp - 1) >> 3)
+        todo = todo[exp == 0]
+        matched += _WORD_BYTES
 
-    while sel.size:
-        ai = i[sel, None] + span
-        bj = j[sel, None] + span
-        neq = av_pad[ai] != bv_pad[bj]
-        hit = neq.any(axis=1)
-        run = np.where(hit, neq.argmax(axis=1), block)
-        blocks[sel] += 1
-        i[sel] += run
-        j[sel] += run
-        total_matches += int(run.sum())
-        # Scalar-equivalent comparisons: matched chars, plus one discovery
-        # compare for runs stopped by a genuine in-bounds mismatch (a stop
-        # at a sequence end costs no compare in the scalar model).
-        inside = (i[sel] < n) & (j[sel] < m)
-        total_comparisons += int(run.sum()) + int((hit & inside).sum())
-        sel = sel[(~hit) & inside]
-
-    out[live] = j[live]
+    end = j0 + run
+    out[cells] = end
+    at_end = (end == m) | (i0 + run == n)
+    blocks[cells] = (run + block - at_end) // block
+    total_matches = int(run.sum(dtype=np.int64))
     return ExtendOutput(
         offsets=out,
         blocks=blocks,
         matches=total_matches,
-        comparisons=total_comparisons,
+        comparisons=total_matches + len(cells) - int(at_end.sum()),
     )

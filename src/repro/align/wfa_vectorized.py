@@ -7,8 +7,9 @@ kernels instead of per-cell Python:
 * compute() is one :func:`repro.align.kernels.compute_kernel` call per
   score step (the RVV code vectorises the same loop across diagonals),
 * extend() is :func:`repro.align.kernels.extend_kernel`, which compares
-  16-base blocks for every live diagonal at once — the same data access
-  pattern as both the RVV code and the hardware Extend sub-module.
+  8-byte words for every live diagonal at once (the RVV code and the
+  hardware Extend sub-module likewise compare many bases per operation),
+  over word arrays built once per alignment.
 
 This engine is what makes 10 kbp / 10 %-error simulations tractable in
 Python; the scalar aligner remains the readable reference and the oracle
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import compute_kernel, extend_kernel, pad_sequence
+from .kernels import compute_kernel, extend_kernel, sequence_words
 from .penalties import AffinePenalties, DEFAULT_PENALTIES
 from .wfa import (
     NULL_OFFSET,
@@ -59,8 +60,8 @@ class VectorizedWfaAligner:
         n, m = len(a), len(b)
         p = self.penalties
         work = WfaWorkCounters()
-        av = pad_sequence(a, sentinel=_SENTINEL_A)
-        bv = pad_sequence(b, sentinel=_SENTINEL_B)
+        aw = sequence_words(a, sentinel=_SENTINEL_A)
+        bw = sequence_words(b, sentinel=_SENTINEL_B)
         k_final = m - n
 
         M: dict[int, Wavefront] = {}
@@ -68,7 +69,7 @@ class VectorizedWfaAligner:
         D: dict[int, Wavefront] = {}
 
         wf0 = Wavefront(0, 0, np.zeros(1, dtype=np.int64))
-        ext = extend_kernel(av, bv, n, m, wf0.offsets, 0)
+        ext = extend_kernel(aw, bw, n, m, wf0.offsets, 0)
         wf0.offsets[:] = ext.offsets
         work.extend_comparisons += ext.comparisons
         work.extend_matches += ext.matches
@@ -133,7 +134,7 @@ class VectorizedWfaAligner:
             if not out.any_live:
                 continue
 
-            ext = extend_kernel(av, bv, n, m, out.m, lo)
+            ext = extend_kernel(aw, bw, n, m, out.m, lo)
             work.extend_comparisons += ext.comparisons
             work.extend_matches += ext.matches
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.kernels import pad_sequence
+from ..align.kernels import sequence_words
 from ..align.lattice import ScoreLattice
 from ..align.wfa import NULL_OFFSET, Wavefront
 from .compute import ComputeStage, ComputeTimings
@@ -135,8 +135,8 @@ class Aligner:
                 bt_blocks=bt,
             )
 
-        av = pad_sequence(a, sentinel=_SENTINEL_A)
-        bv = pad_sequence(b, sentinel=_SENTINEL_B)
+        aw = sequence_words(a, sentinel=_SENTINEL_A)
+        bw = sequence_words(b, sentinel=_SENTINEL_B)
 
         compute = ComputeStage(
             n_ps, emit_origins=cfg.backtrace, timings=self.timings.compute
@@ -149,7 +149,7 @@ class Aligner:
 
         # Score 0: the initial M cell, extended.
         wf0 = Wavefront(0, 0, np.zeros(1, dtype=np.int64))
-        ext, ext_cycles = extend.run(av, bv, n, m, wf0.offsets, 0)
+        ext, ext_cycles = extend.run(aw, bw, n, m, wf0.offsets, 0)
         wf0.offsets[:] = ext.offsets
         M[0] = wf0
         cycles += ext_cycles + self.timings.compute.step_overhead
@@ -230,7 +230,7 @@ class Aligner:
             if bt is not None:
                 bt.extend(pack_origin_codes(out.origins, n_ps))
 
-            ext, ext_cycles = extend.run(av, bv, n, m, out.m, lo)
+            ext, ext_cycles = extend.run(aw, bw, n, m, out.m, lo)
             cycles += ext_cycles
             stats.extend_cycles += ext_cycles
             stats.extend_blocks += int(ext.blocks.sum())

@@ -25,11 +25,13 @@ from typing import Iterator
 
 from .aligner import AlignerRun
 from .packets import (
+    BT_PAYLOAD_BYTES,
     SECTION_BYTES,
     NbtRecord,
-    pack_bt_block,
+    frame_bt_blocks,
     pack_bt_final_block,
     pack_nbt_record,
+    split_transactions,
 )
 
 __all__ = ["CollectorNBT", "CollectorBT", "CollectorOutput"]
@@ -37,20 +39,25 @@ __all__ = ["CollectorNBT", "CollectorBT", "CollectorOutput"]
 
 @dataclass(frozen=True)
 class CollectorOutput:
-    """What a collector hands to the output FIFO / DMA."""
+    """What a collector hands to the output FIFO / DMA: 16-byte
+    transactions, back to back."""
 
-    transactions: list[bytes]
+    stream: bytes
+
+    @property
+    def transactions(self) -> list[bytes]:
+        return split_transactions(self.stream)
 
     @property
     def num_transactions(self) -> int:
-        return len(self.transactions)
+        return len(self.stream) // SECTION_BYTES
 
     @property
     def total_bytes(self) -> int:
-        return sum(len(t) for t in self.transactions)
+        return len(self.stream)
 
     def as_stream(self) -> bytes:
-        return b"".join(self.transactions)
+        return self.stream
 
 
 class CollectorNBT:
@@ -74,11 +81,8 @@ class CollectorNBT:
             )
             for run in runs
         )
-        transactions = []
-        for off in range(0, len(records), SECTION_BYTES):
-            chunk = records[off : off + SECTION_BYTES]
-            transactions.append(chunk.ljust(SECTION_BYTES, b"\x00"))
-        return CollectorOutput(transactions=transactions)
+        padded = -(-len(records) // SECTION_BYTES) * SECTION_BYTES
+        return CollectorOutput(stream=records.ljust(padded, b"\x00"))
 
 
 class CollectorBT:
@@ -90,27 +94,11 @@ class CollectorBT:
 
     def frame_run(self, run: AlignerRun) -> list[bytes]:
         """All transactions of one alignment, in stream order."""
-        if run.bt_blocks is None:
-            raise ValueError("CollectorBT needs an Aligner run with backtrace data")
-        txns: list[bytes] = []
-        counter = 0
-        for block in run.bt_blocks:
-            framed = pack_bt_block(block, counter, run.alignment_id)
-            txns.extend(framed)
-            counter += len(framed)
-        txns.append(
-            pack_bt_final_block(
-                run.success, run.k_reached, run.score, counter, run.alignment_id
-            )
-        )
-        return txns
+        return split_transactions(self._run_stream(run))
 
     def collect(self, runs: list[AlignerRun]) -> CollectorOutput:
         """Single-Aligner stream: each alignment's data is consecutive."""
-        out: list[bytes] = []
-        for run in runs:
-            out.extend(self.frame_run(run))
-        return CollectorOutput(transactions=out)
+        return CollectorOutput(stream=b"".join(map(self._run_stream, runs)))
 
     def interleave(self, runs: list[AlignerRun], num_aligners: int) -> CollectorOutput:
         """Multi-Aligner stream: concurrent alignments interleave.
@@ -143,13 +131,23 @@ class CollectorBT:
                         active.append(pending[queue.pop(0)])
                 else:
                     out.extend(chunk)
-        return CollectorOutput(transactions=out)
+        return CollectorOutput(stream=b"".join(out))
+
+    def _run_stream(self, run: AlignerRun) -> bytes:
+        """One alignment's transactions: its origin blocks framed as one
+        array (counters from 0), then the score record with Last set."""
+        if run.bt_blocks is None:
+            raise ValueError("CollectorBT needs an Aligner run with backtrace data")
+        txns = frame_bt_blocks(run.bt_blocks, 0, run.alignment_id)
+        return txns.tobytes() + pack_bt_final_block(
+            run.success, run.k_reached, run.score, len(txns), run.alignment_id
+        )
 
     def _chunks(self, run: AlignerRun) -> Iterator[list]:
         """Per-alignment transaction stream, one block's worth at a time."""
         txns = self.frame_run(run)
         if run.bt_blocks:
-            per_block = len(pack_bt_block(run.bt_blocks[0], 0, run.alignment_id))
+            per_block = len(run.bt_blocks[0]) // BT_PAYLOAD_BYTES
         else:
             per_block = 1
         for off in range(0, len(txns), per_block):

@@ -9,10 +9,13 @@ or a sequence end.
 
 The model runs the functional part through the shared
 :func:`repro.align.kernels.extend_kernel` (identical results to the
-software WFA) and charges cycles per the pipeline description: a group of
-``n_ps`` cells extends in lockstep across the parallel sections, so the
-group's latency is the pipeline fill plus the *longest* block run in the
-group.
+software WFA).  That kernel compares 8-byte words rather than 16-base
+blocks; from each cell's match length ``L`` it derives the hardware's
+block count in closed form, ``(L + 16 - at_end) // 16`` with ``at_end``
+set when the run stopped at a sequence end.  Cycles are charged per the
+pipeline description: a group of ``n_ps`` cells extends in lockstep
+across the parallel sections, so the group's latency is the pipeline
+fill plus the *longest* block run in the group.
 """
 
 from __future__ import annotations
@@ -64,7 +67,13 @@ def group_latencies(
 
 
 class ExtendStage:
-    """Functional + cycle model of one frame column's extension."""
+    """Functional + cycle model of one frame column's extension.
+
+    :meth:`run` takes the :func:`repro.align.kernels.sequence_words`
+    arrays of the two sequences, built once per alignment; the kernel
+    compares 8-byte words and reports the 16-base block count each cell
+    costs the hardware, which :func:`group_latencies` turns into cycles.
+    """
 
     def __init__(
         self, group_size: int, timings: ExtendTimings | None = None
@@ -77,15 +86,15 @@ class ExtendStage:
 
     def run(
         self,
-        av_pad: np.ndarray,
-        bv_pad: np.ndarray,
+        a_words: np.ndarray,
+        b_words: np.ndarray,
         n: int,
         m: int,
         offsets: np.ndarray,
         lo: int,
     ) -> tuple[ExtendOutput, int]:
         """Extend one frame column; returns (kernel output, cycles)."""
-        out = extend_kernel(av_pad, bv_pad, n, m, offsets, lo)
+        out = extend_kernel(a_words, b_words, n, m, offsets, lo)
         cycles = int(group_latencies(out.blocks, self.group_size, self.timings).sum())
         self.total_cycles += cycles
         self.total_blocks += int(out.blocks.sum())

@@ -60,6 +60,8 @@ __all__ = [
     "pack_nbt_record",
     "unpack_nbt_record",
     "BtTransaction",
+    "split_transactions",
+    "frame_bt_blocks",
     "pack_bt_block",
     "unpack_bt_transaction",
     "pack_bt_final_block",
@@ -285,6 +287,42 @@ def _pack_bt_txn(payload: bytes, counter: int, alignment_id: int, last: bool) ->
     return payload + counter.to_bytes(3, "little") + flags.to_bytes(3, "little")
 
 
+def split_transactions(stream: bytes) -> list[bytes]:
+    """The 16-byte transactions of a result stream, in order."""
+    return [stream[off : off + SECTION_BYTES] for off in range(0, len(stream), SECTION_BYTES)]
+
+
+def frame_bt_blocks(
+    blocks: list[bytes], first_counter: int, alignment_id: int
+) -> np.ndarray:
+    """Frame backtrace blocks as one ``(transactions, 16)`` uint8 array.
+
+    The blocks' payload is cut into 10-byte pieces; row ``t`` holds piece
+    ``t``, the counter ``first_counter + t`` (uint24 LE) and the
+    alignment ID with the Last flag clear (uint24 LE) — every
+    transaction built at once.  Raises ``ValueError`` when a block is not
+    a non-empty multiple of 10 bytes or a field overflows.
+    """
+    for size in set(map(len, blocks)):
+        if size == 0 or size % BT_PAYLOAD_BYTES:
+            raise ValueError(
+                f"backtrace block must be a non-empty multiple of "
+                f"{BT_PAYLOAD_BYTES} bytes, got {size}"
+            )
+    count = sum(map(len, blocks)) // BT_PAYLOAD_BYTES
+    if not 0 <= first_counter <= 2**24 - count:
+        raise ValueError("BT counter field is 24 bits")
+    if not 0 <= alignment_id < 2**23:
+        raise ValueError("BT alignment ID field is 23 bits")
+    payload = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+    txns = np.empty((count, SECTION_BYTES), dtype=np.uint8)
+    txns[:, :BT_PAYLOAD_BYTES] = payload.reshape(count, BT_PAYLOAD_BYTES)
+    counters = np.arange(first_counter, first_counter + count, dtype="<u4")
+    txns[:, 10:13] = counters.view(np.uint8).reshape(count, 4)[:, :3]
+    txns[:, 13:16] = np.frombuffer(alignment_id.to_bytes(3, "little"), dtype=np.uint8)
+    return txns
+
+
 def pack_bt_block(
     block: bytes, first_counter: int, alignment_id: int
 ) -> list[bytes]:
@@ -295,20 +333,9 @@ def pack_bt_block(
     four memory transactions" — four for the shipped 64-PS / 40-byte
     blocks; smaller parallel-section counts frame into fewer.
     """
-    if len(block) == 0 or len(block) % BT_PAYLOAD_BYTES:
-        raise ValueError(
-            f"backtrace block must be a non-empty multiple of "
-            f"{BT_PAYLOAD_BYTES} bytes, got {len(block)}"
-        )
-    return [
-        _pack_bt_txn(
-            block[i * BT_PAYLOAD_BYTES : (i + 1) * BT_PAYLOAD_BYTES],
-            first_counter + i,
-            alignment_id,
-            last=False,
-        )
-        for i in range(len(block) // BT_PAYLOAD_BYTES)
-    ]
+    return split_transactions(
+        frame_bt_blocks([block], first_counter, alignment_id).tobytes()
+    )
 
 
 def pack_bt_final_block(
@@ -365,21 +392,22 @@ def pack_origin_codes(codes: np.ndarray, group_size: int = 64) -> list[bytes]:
     The last group of a frame column is zero-padded: code 0 is
     ``ORIGIN_M_NONE``, which the CPU backtrace can never dereference.
     Bit layout: cell ``t`` of a block occupies bits ``5t .. 5t+4``
-    (LSB-first), matching the hardware's concatenation order.
+    (LSB-first), matching the hardware's concatenation order.  The whole
+    column is padded once, spread to ``(groups, group_size * 5)`` bits
+    and packed in one ``packbits`` call.
     """
     if (codes >= 32).any():
         raise ValueError("origin codes must fit in 5 bits")
-    blocks: list[bytes] = []
+    groups = -(-len(codes) // group_size)
+    padded = np.zeros(groups * group_size, dtype=np.uint8)
+    padded[: len(codes)] = codes
+    bits = np.unpackbits(padded[:, None], axis=1, count=5, bitorder="little")
+    packed = np.packbits(
+        bits.reshape(groups, group_size * 5), axis=1, bitorder="little"
+    )
     block_bytes = group_size * 5 // 8
-    for start in range(0, len(codes), group_size):
-        group = np.zeros(group_size, dtype=np.uint8)
-        chunk = codes[start : start + group_size]
-        group[: len(chunk)] = chunk
-        bits = (group[:, None] >> np.arange(5)) & 1
-        blocks.append(np.packbits(bits.reshape(-1), bitorder="little")[
-            :block_bytes
-        ].tobytes())
-    return blocks
+    raw = packed[:, :block_bytes].tobytes()
+    return [raw[g * block_bytes : (g + 1) * block_bytes] for g in range(groups)]
 
 
 def unpack_origin_codes(block: bytes, group_size: int = 64) -> np.ndarray:

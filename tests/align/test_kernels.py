@@ -1,7 +1,9 @@
 """Unit tests for the vectorised compute/extend kernels."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.align import NULL_OFFSET
 from repro.align.kernels import (
@@ -13,6 +15,7 @@ from repro.align.kernels import (
     compute_kernel,
     extend_kernel,
     pad_sequence,
+    sequence_words,
 )
 
 NULL = NULL_OFFSET
@@ -37,9 +40,9 @@ class TestPadSequence:
 
 class TestExtendKernel:
     def _run(self, a, b, offsets, lo):
-        av = pad_sequence(a, sentinel=0xFF)
-        bv = pad_sequence(b, sentinel=0xFE)
-        return extend_kernel(av, bv, len(a), len(b), arr(*offsets), lo)
+        aw = sequence_words(a, sentinel=0xFF)
+        bw = sequence_words(b, sentinel=0xFE)
+        return extend_kernel(aw, bw, len(a), len(b), arr(*offsets), lo)
 
     def test_full_match_single_diagonal(self):
         out = self._run("ACGT", "ACGT", [0], 0)
@@ -106,6 +109,122 @@ class TestExtendKernel:
         out = self._run("", "", [0], 0)
         assert out.offsets[0] == 0
         assert out.matches == 0
+
+
+def block_loop_extend(a, b, offsets, lo, block=16):
+    """Pure-Python model of the Extend sub-module's 16-base block loop.
+
+    Each iteration is one comparator operation: it compares up to
+    ``block`` bases and the cell retires on the first block holding a
+    mismatch or a sequence end.  Returns (offsets, blocks, matches,
+    comparisons) with the kernel's scalar-equivalent comparison count.
+    """
+    n, m = len(a), len(b)
+    out = list(offsets)
+    blocks = [0] * len(offsets)
+    matches = comparisons = 0
+    for t, off in enumerate(offsets):
+        j = off
+        i = j - (lo + t)
+        if off < 0 or i >= n or j >= m:
+            continue
+        while True:
+            blocks[t] += 1
+            run = 0
+            while run < block and i + run < n and j + run < m and a[i + run] == b[j + run]:
+                run += 1
+            hit = run < block
+            i, j = i + run, j + run
+            inside = i < n and j < m
+            matches += run
+            comparisons += run + (hit and inside)
+            if hit or not inside:
+                break
+        out[t] = j
+    return out, blocks, matches, comparisons
+
+
+@st.composite
+def extend_cases(draw):
+    """A sequence pair plus one frame column of valid or NULL offsets."""
+    alphabet = st.sampled_from("AC")
+    a = draw(st.text(alphabet, max_size=70))
+    if draw(st.booleans()):
+        b = draw(st.text(alphabet, max_size=70))
+    else:
+        # A few edits of ``a``: long matching runs cross block boundaries.
+        chars = list(a)
+        for _ in range(draw(st.integers(0, 3))):
+            if chars:
+                chars[draw(st.integers(0, len(chars) - 1))] = draw(alphabet)
+        b = "".join(chars) + draw(st.text(alphabet, max_size=3))
+    n, m = len(a), len(b)
+    width = draw(st.integers(0, 12))
+    lo = draw(st.integers(-n, m))
+    offsets = []
+    for t in range(width):
+        k = lo + t
+        valid = range(max(0, k), min(m, n + k) + 1)
+        if valid and draw(st.booleans()):
+            offsets.append(draw(st.sampled_from(valid)))
+        else:
+            offsets.append(NULL)
+    return a, b, offsets, lo
+
+
+class TestExtendKernelMatchesBlockLoop:
+    """The word-wise kernel equals the 16-base block loop, counters included."""
+
+    @staticmethod
+    def check(a, b, offsets, lo):
+        out = extend_kernel(
+            sequence_words(a, sentinel=0xFF),
+            sequence_words(b, sentinel=0xFE),
+            len(a),
+            len(b),
+            np.array(offsets, dtype=np.int64),
+            lo,
+        )
+        ref_offsets, ref_blocks, ref_matches, ref_comparisons = block_loop_extend(
+            a, b, offsets, lo
+        )
+        assert out.offsets.tolist() == ref_offsets
+        assert out.blocks.tolist() == ref_blocks
+        assert out.matches == ref_matches
+        assert out.comparisons == ref_comparisons
+
+    @pytest.mark.parametrize(
+        "a, b, offsets, lo",
+        [
+            # L % 16 == 0 and the run ends exactly at n, then at m.
+            ("A" * 32, "A" * 40, [0], 0),
+            ("A" * 40, "A" * 32, [0], 0),
+            ("C" * 8 + "A" * 16, "A" * 16 + "C", [8], -8),
+            # L % 16 == 0 ending on a mismatch inside both sequences.
+            ("A" * 16 + "C", "A" * 16 + "G", [0], 0),
+            # Empty sequences.
+            ("", "", [0], 0),
+            ("", "ACGT", [0, 1, 2], 0),
+            ("ACGT", "", [0, 0, 0], -2),
+            # Width 0.
+            ("ACGT", "ACGT", [], 0),
+            # All-NULL column.
+            ("ACGT", "ACGT", [NULL, NULL, NULL], -1),
+            # Cells starting at i = n - 1.
+            ("ACGTA", "TTTTTA", [5], 1),
+            ("ACGTA", "TTTTTC", [5], 1),
+            # Identical sequences, every diagonal live.
+            ("ACGT" * 10, "ACGT" * 10, [0, 0, 0, 1, 2], -2),
+            ("ACGTTGCA" * 9, "ACGTTGCA" * 9, [0], 0),
+        ],
+    )
+    def test_edge_cases(self, a, b, offsets, lo):
+        self.check(a, b, offsets, lo)
+
+    @given(extend_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, case):
+        self.check(*case)
 
 
 class TestComputeKernel:
@@ -313,8 +432,8 @@ class TestBatchedKernelsMatch1D:
         out = extend_kernel_batched(av2d, bv2d, ns, ms, offsets, lo)
         for r, (a, b) in enumerate(seqs):
             ref = extend_kernel(
-                pad_sequence(a, sentinel=0xFF),
-                pad_sequence(b, sentinel=0xFE),
+                sequence_words(a, sentinel=0xFF),
+                sequence_words(b, sentinel=0xFE),
                 len(a), len(b), offsets[r], int(lo[r]),
             )
             assert (out.offsets[r] == ref.offsets).all()

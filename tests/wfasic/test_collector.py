@@ -10,6 +10,7 @@ from repro.wfasic import (
     CollectorNBT,
     WfasicConfig,
 )
+from repro.wfasic.aligner import AlignerRun, AlignerStats
 from repro.wfasic.packets import (
     unpack_bt_transaction,
     unpack_nbt_record,
@@ -111,6 +112,40 @@ class TestCollectorBT:
         txns = CollectorBT().frame_run(run)
         final = unpack_bt_transaction(txns[-1])
         assert final.last and final.alignment_id == 9
+
+    @staticmethod
+    def run_with_blocks(blocks, aid=1):
+        return AlignerRun(
+            alignment_id=aid,
+            success=True,
+            score=8,
+            k_reached=0,
+            cycles=0,
+            stats=AlignerStats(),
+            bt_blocks=blocks,
+        )
+
+    def test_frame_run_rejects_23_bit_id_overflow(self):
+        with pytest.raises(ValueError, match="23 bits"):
+            CollectorBT().frame_run(self.run_with_blocks([bytes(40)], aid=2**23))
+
+    def test_frame_run_rejects_24_bit_counter_overflow(self):
+        # 17 blocks of 2**20 transactions each: one past the 24-bit counter.
+        block = bytes(10 * 2**20)
+        with pytest.raises(ValueError, match="24 bits"):
+            CollectorBT().frame_run(self.run_with_blocks([block] * 17))
+
+    @pytest.mark.parametrize("sizes", [[0], [13], [40, 15], [40, 5, 5]])
+    def test_frame_run_rejects_bad_block_size(self, sizes):
+        blocks = [bytes(size) for size in sizes]
+        with pytest.raises(ValueError, match="multiple of 10"):
+            CollectorBT().frame_run(self.run_with_blocks(blocks))
+
+    def test_frame_run_without_blocks_is_final_record_only(self):
+        txns = CollectorBT().frame_run(self.run_with_blocks([], aid=5))
+        assert len(txns) == 1
+        final = unpack_bt_transaction(txns[0])
+        assert final.last and final.counter == 0 and final.alignment_id == 5
 
     def test_32ps_blocks_two_transactions_each(self):
         runs = make_runs(1, backtrace=True, n_ps=32, seed=83)

@@ -10,11 +10,16 @@ named input sets: EXPERIMENTS.md numbers are only comparable across runs
 because the sets never drift.
 """
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.align import swg_align
+from repro.align.wfa import WfaWorkCounters
 from repro.soc import Soc
 from repro.wfasic import WfasicAccelerator, WfasicConfig
+from repro.wfasic.aligner import AlignerStats
 from repro.wfasic.packets import (
     NbtRecord,
     encode_input_image,
@@ -147,3 +152,81 @@ class TestDatasetGoldenScores:
             assert pair.pattern.startswith(prefix), name
             assert len(pair.text) == text_len, name
             assert swg_align(pair.pattern, pair.text).score == score, name
+
+
+class TestPaperSetGoldenRuns:
+    """Bit-exact simulator output for the first pair of every paper set.
+
+    Pins the SHA-256 of the accelerator's backtrace result stream, the
+    Aligner's cycles and work counters, and the CPU flow's cycles and
+    WFA work counters, so a simulator speed-up cannot change a single
+    byte or cycle of what the paper's figures are built from.
+    """
+
+    # set -> (stream sha256, run cycles, accelerator cycles,
+    #         AlignerStats, CPU-flow cycles, CPU-flow WfaWorkCounters)
+    GOLDEN = {
+        "100-5%": (
+            "846604903f4b0f067532dcaca69feb83c2f43bde46c709d4a8c27c24c7e997d7",
+            260,
+            335,
+            AlignerStats(22, 1323, 403, 320, 41, 105, 139),
+            44864,
+            WfaWorkCounters(23, 21, 1449, 712, 320, 43, 1450, 0, 0),
+        ),
+        "100-10%": (
+            "77bb0cf2675dd753e567627f1e47dc74426b6c813a2501aeb48b45bdcb970a6c",
+            269,
+            344,
+            AlignerStats(23, 1452, 444, 279, 43, 110, 143),
+            48216,
+            WfaWorkCounters(24, 22, 1584, 717, 279, 45, 1585, 0, 0),
+        ),
+        "1K-5%": (
+            "fbbad2e720a69fa8b2ae488ba90332b3f29a7daa081dee09eb2367d3b20d617c",
+            4974,
+            5555,
+            AlignerStats(165, 80688, 26633, 11298, 327, 1840, 3118),
+            2329186,
+            WfaWorkCounters(166, 164, 81672, 37834, 11298, 329, 81673, 0, 0),
+        ),
+        "1K-10%": (
+            "7fe6da60ee1c73570885c92da05829b6e61efef0a92b9c3e6474ccca6c5394e8",
+            18665,
+            21912,
+            AlignerStats(342, 348843, 115640, 40032, 681, 6655, 11994),
+            11348292,
+            WfaWorkCounters(343, 341, 350889, 155629, 40032, 683, 350890, 0, 0),
+        ),
+        "10K-5%": (
+            "7e0d47daa8fa63438c1f03a0c0c82e7303dbb69b79d35604b573155a9c21c45a",
+            348809,
+            421509,
+            AlignerStats(1551, 7207500, 2400129, 822910, 3099, 118054, 230739),
+            324184857,
+            WfaWorkCounters(1552, 1550, 7216800, 3222199, 822910, 3101, 7216801, 0, 0),
+        ),
+        "10K-10%": (
+            "4827d7d2fe39608ee91d78bdf146f377500f364f56cea8a212cf5213ced254a5",
+            1230164,
+            1495747,
+            AlignerStats(2935, 25825068, 8602343, 2890820, 5867, 413796, 816352),
+            1295410542,
+            WfaWorkCounters(2936, 2934, 25842672, 11492619, 2890820, 5869, 25842673, 0, 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_first_pair(self, name):
+        digest, run_cycles, accel_cycles, stats, cpu_cycles, work = self.GOLDEN[name]
+        pairs = make_input_set(name, 1)
+        soc = Soc(WfasicConfig.paper_default(backtrace=True))
+        out = soc.run_accelerated(pairs, backtrace=True)
+        (run,) = out.batch.runs
+        assert hashlib.sha256(out.batch.output.as_stream()).hexdigest() == digest
+        assert run.cycles == run_cycles
+        assert out.accelerator_cycles == accel_cycles
+        assert run.stats == stats
+        cpu = soc.run_cpu(pairs)
+        assert cpu.cycles == cpu_cycles
+        assert cpu.work == work

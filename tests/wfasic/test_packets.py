@@ -213,6 +213,18 @@ class TestOriginPacking:
         with pytest.raises(ValueError):
             pack_origin_codes(np.array([32], dtype=np.uint8), 64)
 
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 128, 5841])
+    def test_matches_per_group_reference(self, width):
+        codes = np.random.default_rng(width).integers(0, 32, width).astype(np.uint8)
+        expected = []
+        for start in range(0, width, 64):
+            # Cell t of a group occupies bits 5t..5t+4, LSB first.
+            value = 0
+            for t, code in enumerate(codes[start : start + 64].tolist()):
+                value |= code << (5 * t)
+            expected.append(value.to_bytes(40, "little"))
+        assert pack_origin_codes(codes, 64) == expected
+
     @given(
         codes=st.lists(st.integers(min_value=0, max_value=31), min_size=0, max_size=200)
     )

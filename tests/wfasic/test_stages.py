@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.align import NULL_OFFSET
-from repro.align.kernels import pad_sequence
+from repro.align.kernels import sequence_words
 from repro.wfasic import ComputeStage, ComputeTimings, ExtendStage, ExtendTimings
 from repro.wfasic.extend import group_latencies
 
@@ -41,11 +41,11 @@ class TestGroupLatencies:
 class TestExtendStage:
     def test_cycles_accumulate(self):
         a = "ACGT" * 20
-        av = pad_sequence(a, sentinel=0xFF)
-        bv = pad_sequence(a, sentinel=0xFE)
+        aw = sequence_words(a, sentinel=0xFF)
+        bw = sequence_words(a, sentinel=0xFE)
         stage = ExtendStage(group_size=64)
         offs = np.zeros(1, dtype=np.int64)
-        out, cycles = stage.run(av, bv, 80, 80, offs, 0)
+        out, cycles = stage.run(aw, bw, 80, 80, offs, 0)
         assert out.offsets[0] == 80
         assert cycles == 5 + 5  # ceil(80/16) = 5 blocks
         assert stage.total_cycles == cycles
