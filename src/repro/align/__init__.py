@@ -11,23 +11,10 @@ Public surface:
 * :func:`wfa_align_batched` / :class:`BatchedWfaAligner` — cross-pair
   batched WFA: N pairs' wavefronts advanced in lockstep per numpy call.
 * :class:`PackCache` — per-sequence packing cache for the batched path.
-* :class:`SequenceArena` / :class:`SequenceDescriptor` / :class:`ResultRing`
-  — shared-memory arenas and descriptors for the zero-copy dispatch path.
 * :class:`StageProfiler` — per-stage wall-time/call counters.
 * :class:`ScoreLattice` — reachable scores and theoretical wavefront bands.
 """
 
-from .arena import (
-    ResultRing,
-    SequenceArena,
-    SequenceDescriptor,
-    decode_descriptor,
-    encode_descriptor,
-    leaked_segments,
-    pack_bits,
-    read_sequence,
-    unpack_bits,
-)
 from .banded import BandedResult, banded_swg_score
 from .cigar import Cigar, CigarError
 from .lattice import Band, ScoreLattice
@@ -60,11 +47,8 @@ __all__ = [
     "LinearPenalties",
     "NULL_OFFSET",
     "PackCache",
-    "ResultRing",
     "ScoreLattice",
     "ScoreLimitExceeded",
-    "SequenceArena",
-    "SequenceDescriptor",
     "StageProfiler",
     "SwLinearResult",
     "SwgResult",
@@ -74,14 +58,8 @@ __all__ = [
     "WfaResult",
     "WfaWorkCounters",
     "banded_swg_score",
-    "decode_descriptor",
-    "encode_descriptor",
     "format_profile",
-    "leaked_segments",
     "pack_batch",
-    "pack_bits",
-    "read_sequence",
-    "unpack_bits",
     "sw_linear_align",
     "sw_linear_score",
     "swg_align",

@@ -12,14 +12,6 @@ depends on the widest sequence in the batch and is rebuilt each time,
 but building it from cached rows is a plain ``ndarray`` copy with no
 string handling.  Cached rows are marked read-only so a cache can be
 shared between aligners without aliasing bugs.
-
-A :class:`PackCache` can additionally *own* a shared-memory
-:class:`~repro.align.arena.SequenceArena`: the engine's zero-copy
-dispatch path interns each unique sequence through
-:meth:`PackCache.descriptor` and ships workers the resulting
-``(arena_id, offset, length)`` handle instead of the string.  Arena
-ownership follows the cache: :meth:`PackCache.close` unlinks the
-segments (and the arena's own finalizer/atexit hooks cover crashes).
 """
 
 from __future__ import annotations
@@ -28,7 +20,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .arena import SequenceArena, SequenceDescriptor
 from .kernels import pad_sequence
 
 __all__ = ["PackCache", "pack_rows", "pack_batch"]
@@ -39,25 +30,16 @@ class PackCache:
 
     ``capacity`` bounds the number of cached rows; ``0`` disables caching
     (every lookup packs afresh).  ``hits``/``misses`` feed the ``pack``
-    profiling counters.  An optional ``arena`` makes the cache the owner
-    of the shared-memory packed-sequence store backing the zero-copy
-    dispatch path (see :meth:`descriptor` / :meth:`close`).
+    profiling counters.
     """
 
-    def __init__(
-        self,
-        capacity: int = 8192,
-        *,
-        block: int = 16,
-        arena: SequenceArena | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 8192, *, block: int = 16) -> None:
         if capacity < 0:
             raise ValueError("pack cache capacity must be >= 0")
         self.capacity = capacity
         self.block = block
         self.hits = 0
         self.misses = 0
-        self.arena = arena
         self._store: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
 
     def __len__(self) -> int:
@@ -80,30 +62,9 @@ class PackCache:
                 self._store.popitem(last=False)
         return row
 
-    def descriptor(self, seq: str) -> SequenceDescriptor:
-        """Intern ``seq`` in the owned arena and return its descriptor.
-
-        The arena memoises per string, so repeated sequences cost one
-        dictionary lookup; the 2-bit pack happens exactly once.  Raises
-        :class:`ValueError` when the cache owns no arena — the pickled
-        dispatch path constructs plain caches and never lands here.
-        """
-        if self.arena is None:
-            raise ValueError("this PackCache owns no sequence arena")
-        return self.arena.intern(seq)
-
     def clear(self) -> None:
         """Drop every cached row (the hit/miss counters are kept)."""
         self._store.clear()
-
-    def close(self) -> None:
-        """Release the owned arena's shared memory (idempotent).
-
-        Row caching keeps working after close; only the zero-copy
-        descriptor path is torn down.
-        """
-        if self.arena is not None:
-            self.arena.close()
 
 
 def pack_rows(

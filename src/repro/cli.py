@@ -136,11 +136,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="chunk resubmissions after a timeout or lost worker",
     )
     parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable zero-copy shared-memory dispatch (parallel path)",
-    )
-    parser.add_argument(
         "--penalties",
         metavar="X,O,E",
         default=None,
@@ -168,7 +163,6 @@ def _engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
         strict=args.strict,
         chunk_timeout=args.timeout if args.timeout > 0 else None,
         max_chunk_retries=args.retries,
-        shared_memory=not args.no_shm,
         band_width=args.band,
     )
 
@@ -574,7 +568,7 @@ def _interruptible() -> Iterator[None]:
 
     Streamed runs are long-lived; a supervisor's SIGTERM must take the
     same orderly exit as Ctrl-C — through the engine's context-manager
-    teardown (pool join, ``/dev/shm`` arena unlink) and the partial
+    teardown (pool join) and the partial
     report — instead of killing the process mid-dispatch.  Signal
     handlers only install on the main thread; elsewhere (tests calling
     ``main()`` from a worker thread) this is a no-op.
@@ -677,7 +671,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 # cache and pool persist), one batch per streamed chunk,
                 # the reports folded into a single summary at the end.
                 # Ctrl-C / SIGTERM mid-stream must neither leak the
-                # engine's /dev/shm arena nor drop the chunks already
+                # engine's worker pool nor drop the chunks already
                 # aligned: the interrupt is caught *inside* the engine's
                 # context manager (teardown still runs) and the partial
                 # merged report is printed below.

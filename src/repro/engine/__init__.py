@@ -6,11 +6,8 @@ resolved against an LRU result cache, duplicates are coalesced, and the
 remainder is sharded in chunks across a ``multiprocessing`` worker pool
 running any registered backend (software WFA — scalar, vectorized, or
 cross-pair ``batched`` — the SWG oracle, or the cycle-accurate
-``wfasic`` simulator).  Parallel dispatch defaults to the zero-copy
-shared-memory protocol: sequences are interned once into a
-:class:`repro.align.SequenceArena`, workers receive ``(arena_id,
-offset, length)`` descriptors and reply through a shared result ring
-(``docs/shared-memory.md``).  Every batch report carries per-stage
+``wfasic`` simulator).  Each parallel chunk is pickled to a worker
+and its outcomes are pickled back.  Every batch report carries per-stage
 profiling counters (pack/compute/extend/backtrace from the backend,
 resolve/dispatch/execute/ipc/gather from the engine); the CLI prints
 them with ``repro-wfasic batch --profile``.

@@ -13,15 +13,8 @@ worker pool.  The moving parts, in dispatch order:
 3. **Chunked dispatch** — remaining unique items are grouped into chunks
    of ``chunk_size`` pairs to amortise IPC and handed to the pool; with
    ``workers=1`` the chunk runs in-process with zero IPC.  On the
-   parallel path the default is **zero-copy dispatch**: unique sequences
-   are interned once into a shared-memory arena
-   (:class:`repro.align.SequenceArena`, owned by the engine's
-   :class:`repro.align.PackCache`) and workers receive only
-   ``(arena_id, offset, length)`` descriptors, writing plain results
-   into a per-batch shared :class:`repro.align.ResultRing`; only
-   exceptional outcomes ride the pickled reply path.
-   ``EngineConfig.shared_memory=False`` restores the fully pickled
-   protocol (see ``docs/shared-memory.md``).
+   parallel path each chunk (its pairs as plain strings) is pickled to
+   a worker and its outcomes are pickled back.
 4. **Gather + counters** — outcomes are re-ordered to input order and a
    :class:`BatchReport` is filled in: pairs/s, GCUPS (via
    :mod:`repro.metrics.cups`, SWG-equivalent cells so the numbers are
@@ -46,18 +39,8 @@ import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from ..align.arena import (
-    ResultRing,
-    SequenceArena,
-    SequenceDescriptor,
-    cigar_capacity,
-    detach_segment,
-    read_sequence,
-    write_ring_result,
-)
-from ..align.packing import PackCache
 from ..align.penalties import AffinePenalties, DEFAULT_PENALTIES
 from ..align.profile import StageProfiler, format_profile
 from ..metrics.cups import gcups, swg_equivalent_cells
@@ -133,13 +116,6 @@ class EngineConfig:
     max_chunk_retries:
         Resubmissions attempted for a lost chunk before degrading (to
         in-process execution, or per-pair timeout errors).
-    shared_memory:
-        ``True`` (the default) dispatches parallel chunks zero-copy:
-        sequences live in a shared-memory arena, workers get
-        ``(arena_id, offset, length)`` descriptors and answer through a
-        shared result ring.  ``False`` restores the fully pickled chunk
-        protocol.  The serial path (``workers=1``) never uses shared
-        memory — there is no boundary to cross.
     band_width:
         Adaptive wavefront band for long reads (``docs/long-reads.md``):
         band-capable backends (``scalar``, ``batched``) trim every
@@ -167,7 +143,6 @@ class EngineConfig:
     max_read_len: int | None = None
     chunk_timeout: float | None = 300.0
     max_chunk_retries: int = 1
-    shared_memory: bool = True
     band_width: int | None = None
 
     def __post_init__(self) -> None:
@@ -253,10 +228,9 @@ class BatchReport:
     #: engine stages (``resolve``/``dispatch``/``execute``/``ipc``/
     #: ``gather``) merged with whatever the backend reported per chunk
     #: (``pack``/``compute``/``extend``/``backtrace``/``retire`` for the
-    #: batched backend).  ``dispatch`` is the engine-side payload cost
-    #: (descriptor interning, ring setup, payload build), ``execute`` the
-    #: in-process or parallel-region wall time and ``ipc`` the slice of
-    #: ``execute`` no worker accounts for.
+    #: batched backend).  ``dispatch`` is the engine-side payload build,
+    #: ``execute`` the in-process or parallel-region wall time and
+    #: ``ipc`` the slice of ``execute`` no worker accounts for.
     profile: dict = field(default_factory=dict)
 
     @property
@@ -341,9 +315,8 @@ class EngineResult:
         return [o.score for o in self.outcomes]
 
 
-#: What crosses the process boundary for one chunk.  The band width sits
-#: *before* the items so degradation helpers can keep addressing the
-#: item list as ``payload[-1]`` on both protocols.
+#: What crosses the process boundary for one chunk: backend, penalties,
+#: backtrace, strict, band width and the items (``payload[-1]``).
 ChunkPayload = tuple[str, AffinePenalties, bool, bool, "int | None", list[PairItem]]
 
 
@@ -404,81 +377,6 @@ def _run_chunk(payload: ChunkPayload) -> ChunkResult:
     return os.getpid(), start, time.perf_counter() - start, outcomes, profile
 
 
-#: Zero-copy work item: slot, the pattern/text arena descriptors, and
-#: the item's reserved CIGAR window (heap offset, capacity) in the
-#: result ring.  Descriptor-sized by design — wfalint's W005
-#: descriptor-only contract check keeps buffers out of this alias.
-ShmItem = tuple[int, SequenceDescriptor, SequenceDescriptor, int, int]
-
-#: The zero-copy chunk payload: backend, penalties, backtrace, strict,
-#: band width, the result-ring segment name, and the descriptor items.
-ShmChunkPayload = tuple[
-    str, AffinePenalties, bool, bool, "int | None", str, list[ShmItem]
-]
-
-
-def _run_chunk_shm(payload: ShmChunkPayload) -> ChunkResult:
-    """Worker-side zero-copy chunk execution (module-level: picklable).
-
-    Sequences are decoded in place from the shared arena, the chunk runs
-    through the same backend entry point as the pickled path — so every
-    registered backend, test doubles included, works unchanged — and
-    plain outcomes are written into the result ring.  Only *exceptional*
-    outcomes (engine errors, unsupported reads, a CIGAR that outgrew its
-    reserved window, a ring unlinked after a timeout-degrade) ride back
-    on the pickled chunk result.
-    """
-    backend_name, penalties, backtrace, strict, band_width, ring_name, shm_items = (
-        payload
-    )
-    start = time.perf_counter()
-    items: list[PairItem] = [
-        (slot, read_sequence(a_desc), read_sequence(b_desc))
-        for slot, a_desc, b_desc, _, _ in shm_items
-    ]
-    backend = get_backend(backend_name)
-    band_kwargs = {} if band_width is None else {"band_width": band_width}
-    try:
-        outcomes, profile = backend.align_chunk_profiled(
-            items, penalties, backtrace, **band_kwargs
-        )
-    except Exception:
-        if strict:
-            raise
-        outcomes = _run_items_isolated(backend, items, penalties, backtrace)
-        profile = None
-    windows = {
-        slot: (offset, capacity)
-        for slot, _, _, offset, capacity in shm_items
-    }
-    returned: list[PairOutcome] = []
-    try:
-        for outcome in outcomes:
-            plain = (
-                outcome.ok
-                and outcome.error_kind is None
-                and outcome.error_msg is None
-            )
-            offset, capacity = windows[outcome.slot]
-            if not plain or not write_ring_result(
-                ring_name,
-                outcome.slot,
-                score=outcome.score,
-                success=outcome.success,
-                cigar=outcome.cigar,
-                cigar_offset=offset,
-                cigar_capacity=capacity,
-            ):
-                returned.append(outcome)
-    finally:
-        # The ring is batch-scoped: the parent unlinks it right after
-        # the gather, and a cached worker mapping would pin its memory
-        # until the pool dies.  Arena segments stay attached — they are
-        # engine-lifetime and reused across batches.
-        detach_segment(ring_name)
-    return os.getpid(), start, time.perf_counter() - start, returned, profile
-
-
 def _quarantine_entry(
     payload: ChunkPayload, queue: "multiprocessing.queues.Queue[list[PairOutcome]]"
 ) -> None:
@@ -528,43 +426,6 @@ def _run_item_quarantined(
         result_queue.close()
 
 
-def _merge_ring_outcomes(
-    ring: ResultRing,
-    chunk_items: list[PairItem],
-    returned: list[PairOutcome],
-) -> list[PairOutcome]:
-    """Combine a zero-copy chunk's pickled outcomes with its ring slots.
-
-    Outcomes that came back on the pickled reply path (errors,
-    unsupported reads, overflowed CIGARs, degraded replays) take
-    precedence; every other item is reconstructed from its ring record.
-    A slot present in neither channel cannot happen under the current
-    protocol (a chunk result implies every slot was written or returned,
-    and degraded chunks return all their slots), but is answered as
-    ``worker_lost`` rather than crashing the gather.
-    """
-    have = {outcome.slot for outcome in returned}
-    merged = list(returned)
-    for slot, _, _ in chunk_items:
-        if slot in have:
-            continue
-        record = ring.read(slot)
-        if record is None:
-            merged.append(
-                PairOutcome.error(
-                    slot,
-                    ERROR_WORKER_LOST,
-                    "zero-copy result ring slot was never written",
-                )
-            )
-        else:
-            score, success, cigar = record
-            merged.append(
-                PairOutcome(slot=slot, score=score, success=success, cigar=cigar)
-            )
-    return merged
-
-
 @contextmanager
 def _timed(
     prof: StageProfiler, tracer: Tracer | None, name: str
@@ -596,23 +457,15 @@ class BatchAlignmentEngine:
         self.config = config or EngineConfig()
         self.cache = AlignmentCache(self.config.cache_size)
         self._pool: multiprocessing.pool.Pool | None = None
-        #: Owner of the zero-copy sequence arena (created lazily on the
-        #: first shared-memory dispatch, reused across batches).
-        self._arena_pack: PackCache | None = None
-        self._shm_seqs_published = 0
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down and unlink the arena (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        if self._arena_pack is not None:
-            self._arena_pack.close()
-            self._arena_pack = None
-            self._shm_seqs_published = 0
 
     def __enter__(self) -> "BatchAlignmentEngine":
         return self
@@ -631,14 +484,6 @@ class BatchAlignmentEngine:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-
-    def _ensure_arena(self) -> PackCache:
-        """The arena-owning pack cache, created on first zero-copy use."""
-        if self._arena_pack is None:
-            # Row caching off: this cache exists to own the arena; the
-            # per-worker row caches keep serving the batched kernels.
-            self._arena_pack = PackCache(capacity=0, arena=SequenceArena())
-        return self._arena_pack
 
     # -- execution -----------------------------------------------------
 
@@ -709,114 +554,76 @@ class BatchAlignmentEngine:
         # 3 -- chunked dispatch (fault-tolerant on the parallel path).
         worker_stats: dict[int, WorkerStats] = {}
         chunk_results: list[ChunkResult] = []
-        chunks: list[list[PairItem]] = []
         retries = 0
-        ring: ResultRing | None = None
-        try:
-            if work_items:
-                with _timed(prof, tracer, "dispatch"):
-                    chunks = [
-                        work_items[off : off + cfg.chunk_size]
-                        for off in range(0, len(work_items), cfg.chunk_size)
-                    ]
-                    payloads: list[ChunkPayload] = [
-                        (
-                            cfg.backend,
-                            cfg.penalties,
-                            cfg.backtrace,
-                            cfg.strict,
-                            cfg.band_width,
-                            chunk,
-                        )
-                        for chunk in chunks
-                    ]
-                    shm_payloads: list[ShmChunkPayload] | None = None
-                    if cfg.workers > 1 and cfg.shared_memory:
-                        ring, shm_payloads = self._build_shm_payloads(chunks)
-                exec_start = time.perf_counter()
-                if cfg.workers == 1:
-                    chunk_results = [_run_chunk(p) for p in payloads]
-                elif shm_payloads is not None:
-                    chunk_results, retries = self._dispatch_parallel(
-                        shm_payloads, _run_chunk_shm, payloads
+        if work_items:
+            with _timed(prof, tracer, "dispatch"):
+                payloads: list[ChunkPayload] = [
+                    (
+                        cfg.backend,
+                        cfg.penalties,
+                        cfg.backtrace,
+                        cfg.strict,
+                        cfg.band_width,
+                        work_items[off : off + cfg.chunk_size],
                     )
-                else:
-                    chunk_results, retries = self._dispatch_parallel(
-                        payloads, _run_chunk, payloads
-                    )
-                execute_wall = time.perf_counter() - exec_start
-                busy_total = sum(busy for _, _, busy, _, _ in chunk_results)
-                prof.add("execute", execute_wall, calls=len(payloads))
-                # IPC/queueing: parallel-region wall-time not accounted
-                # to any worker.  With workers=1 the chunks run
-                # in-process, so this is ~0.
-                prof.add(
-                    "ipc",
-                    max(0.0, execute_wall - busy_total),
-                    calls=len(payloads),
+                    for off in range(0, len(work_items), cfg.chunk_size)
+                ]
+            exec_start = time.perf_counter()
+            if cfg.workers == 1:
+                chunk_results = [_run_chunk(p) for p in payloads]
+            else:
+                chunk_results, retries = self._dispatch_parallel(payloads)
+            execute_wall = time.perf_counter() - exec_start
+            busy_total = sum(busy for _, _, busy, _, _ in chunk_results)
+            prof.add("execute", execute_wall, calls=len(payloads))
+            # IPC/queueing: parallel-region wall-time not accounted
+            # to any worker.  With workers=1 the chunks run
+            # in-process, so this is ~0.
+            prof.add(
+                "ipc",
+                max(0.0, execute_wall - busy_total),
+                calls=len(payloads),
+            )
+            if tracer is not None:
+                tracer.complete(
+                    "execute",
+                    "engine",
+                    tracer.perf_to_us(exec_start),
+                    execute_wall * 1e6,
+                    args={"chunks": len(payloads), "backend": cfg.backend},
                 )
+
+        # 4 -- gather, fill the cache, fan results out to duplicates.
+        worker_lanes: dict[int, int] = {}
+        with _timed(prof, tracer, "gather"):
+            for worker_id, chunk_start, busy, chunk_outcomes, chunk_profile in (
+                chunk_results
+            ):
+                stats = worker_stats.setdefault(worker_id, WorkerStats(worker_id))
+                stats.chunks += 1
+                stats.pairs += len(chunk_outcomes)
+                stats.busy_seconds += busy
+                prof.merge(chunk_profile)
                 if tracer is not None:
+                    lane = worker_lanes.setdefault(worker_id, len(worker_lanes) + 1)
+                    tracer.name_thread(1, lane, f"worker {worker_id}")
                     tracer.complete(
-                        "execute",
-                        "engine",
-                        tracer.perf_to_us(exec_start),
-                        execute_wall * 1e6,
+                        f"chunk ({len(chunk_outcomes)} pairs)",
+                        "engine:chunk",
+                        tracer.perf_to_us(chunk_start),
+                        busy * 1e6,
+                        tid=lane,
                         args={
-                            "chunks": len(payloads),
+                            "pairs": len(chunk_outcomes),
                             "backend": cfg.backend,
-                            "zero_copy": shm_payloads is not None,
+                            "worker_pid": worker_id,
                         },
                     )
-
-            # 4 -- gather, fill the cache, fan results out to duplicates.
-            worker_lanes: dict[int, int] = {}
-            with _timed(prof, tracer, "gather"):
-                for chunk_items, (
-                    worker_id,
-                    chunk_start,
-                    busy,
-                    chunk_outcomes,
-                    chunk_profile,
-                ) in zip(chunks, chunk_results):
-                    if ring is not None:
-                        chunk_outcomes = _merge_ring_outcomes(
-                            ring, chunk_items, chunk_outcomes
-                        )
-                    stats = worker_stats.setdefault(
-                        worker_id, WorkerStats(worker_id)
-                    )
-                    stats.chunks += 1
-                    stats.pairs += len(chunk_outcomes)
-                    stats.busy_seconds += busy
-                    prof.merge(chunk_profile)
-                    if tracer is not None:
-                        lane = worker_lanes.setdefault(
-                            worker_id, len(worker_lanes) + 1
-                        )
-                        tracer.name_thread(1, lane, f"worker {worker_id}")
-                        tracer.complete(
-                            f"chunk ({len(chunk_outcomes)} pairs)",
-                            "engine:chunk",
-                            tracer.perf_to_us(chunk_start),
-                            busy * 1e6,
-                            tid=lane,
-                            args={
-                                "pairs": len(chunk_outcomes),
-                                "backend": cfg.backend,
-                                "worker_pid": worker_id,
-                            },
-                        )
-                    for outcome in chunk_outcomes:
-                        key = keys_in_order[outcome.slot]
-                        self.cache.put_outcome(key, outcome)
-                        for idx in pending[key]:
-                            outcomes[idx] = replace(outcome, slot=idx)
-        finally:
-            # The ring is batch-scoped; unlink it even when strict mode
-            # raises out of the dispatch, or /dev/shm accrues a segment
-            # per failed batch.
-            if ring is not None:
-                ring.close()
+                for outcome in chunk_outcomes:
+                    key = keys_in_order[outcome.slot]
+                    self.cache.put_outcome(key, outcome)
+                    for idx in pending[key]:
+                        outcomes[idx] = replace(outcome, slot=idx)
 
         elapsed = time.perf_counter() - start
         assert all(o is not None for o in outcomes), "engine lost a pair"
@@ -857,19 +664,6 @@ class BatchAlignmentEngine:
         registry = get_registry()
         publish_batch_report(report, registry)
         prof.publish(registry, "engine", {"backend": cfg.backend})
-        if self._arena_pack is not None and self._arena_pack.arena is not None:
-            arena = self._arena_pack.arena
-            fresh = arena.interned - self._shm_seqs_published
-            if fresh:
-                registry.counter(
-                    "engine_shm_sequences_total",
-                    "Unique sequences interned into the shared-memory arena",
-                ).inc(fresh, {"backend": cfg.backend})
-                self._shm_seqs_published = arena.interned
-            registry.gauge(
-                "engine_shm_arena_bytes",
-                "Shared-memory bytes reserved by the sequence arena",
-            ).set(arena.allocated_bytes, {"backend": cfg.backend})
         if tracer is not None:
             tracer.complete(
                 "batch",
@@ -887,77 +681,10 @@ class BatchAlignmentEngine:
 
     # -- fault-tolerant parallel dispatch ------------------------------
 
-    def _build_shm_payloads(
-        self, chunks: list[list[PairItem]]
-    ) -> tuple[ResultRing | None, list[ShmChunkPayload] | None]:
-        """Descriptor payloads plus the result ring for one batch.
-
-        Interns every unique sequence into the engine-owned arena and
-        reserves each item's CIGAR window in a fresh ring.  Returns
-        ``(None, None)`` when shared memory is unavailable (``/dev/shm``
-        exhausted or unsupported) — the caller then falls back to the
-        pickled protocol for this batch, which is always correct, just
-        slower.
-        """
-        cfg = self.config
-        total = sum(len(chunk) for chunk in chunks)
-        caps = [0] * total
-        try:
-            pack = self._ensure_arena()
-            desc_chunks: list[list[ShmItem]] = []
-            for chunk in chunks:
-                descs: list[ShmItem] = []
-                for slot, pattern, text in chunk:
-                    if cfg.backtrace:
-                        caps[slot] = cigar_capacity(len(pattern), len(text))
-                    descs.append(
-                        (
-                            slot,
-                            pack.descriptor(pattern),
-                            pack.descriptor(text),
-                            0,  # window filled in below, once the ring exists
-                            0,
-                        )
-                    )
-                desc_chunks.append(descs)
-            ring = ResultRing(caps)
-        except OSError:
-            if cfg.strict:
-                raise
-            return None, None
-        payloads: list[ShmChunkPayload] = []
-        for descs in desc_chunks:
-            items = [
-                (slot, a_desc, b_desc, *ring.window(slot))
-                for slot, a_desc, b_desc, _, _ in descs
-            ]
-            payloads.append(
-                (
-                    cfg.backend,
-                    cfg.penalties,
-                    cfg.backtrace,
-                    cfg.strict,
-                    cfg.band_width,
-                    ring.name,
-                    items,
-                )
-            )
-        return ring, payloads
-
     def _dispatch_parallel(
-        self,
-        payloads: Sequence[ChunkPayload] | Sequence[ShmChunkPayload],
-        runner: Callable[..., ChunkResult],
-        plain_payloads: list[ChunkPayload],
+        self, payloads: list[ChunkPayload]
     ) -> tuple[list[ChunkResult], int]:
         """Run chunks on the pool, surviving timeouts and worker death.
-
-        ``payloads`` and ``runner`` are either the pickled protocol
-        (``_run_chunk``) or the zero-copy one (``_run_chunk_shm``);
-        ``plain_payloads`` always carries the pickled equivalents so the
-        degradation paths — which replay *in this process or a
-        disposable quarantine process*, where attaching shared memory
-        buys nothing — stay protocol-independent.
 
         Every chunk is submitted up front; each is then gathered with
         ``chunk_timeout``.  A chunk whose result never arrives — hung
@@ -980,14 +707,14 @@ class BatchAlignmentEngine:
             if cfg.strict:
                 raise
             # Pool unusable: graceful degradation to in-process execution.
-            return [_run_chunk(p) for p in plain_payloads], retries
+            return [_run_chunk(p) for p in payloads], retries
 
         handles = [
-            (payload, plain, pool.apply_async(runner, (payload,)))
-            for payload, plain in zip(payloads, plain_payloads)
+            (payload, pool.apply_async(_run_chunk, (payload,)))
+            for payload in payloads
         ]
         saw_timeout = False
-        for payload, plain, handle in handles:
+        for payload, handle in handles:
             attempts = 0
             while True:
                 try:
@@ -1001,9 +728,9 @@ class BatchAlignmentEngine:
                     if attempts < cfg.max_chunk_retries:
                         attempts += 1
                         retries += 1
-                        handle = pool.apply_async(runner, (payload,))
+                        handle = pool.apply_async(_run_chunk, (payload,))
                         continue
-                    results.append(self._degrade_chunk(plain, timed_out))
+                    results.append(self._degrade_chunk(payload, timed_out))
                     break
         if saw_timeout:
             # Hung workers may still occupy pool slots; start clean next
@@ -1048,7 +775,6 @@ def align_pairs(
     max_read_len: int | None = None,
     chunk_timeout: float | None = 300.0,
     max_chunk_retries: int = 1,
-    shared_memory: bool = True,
     band_width: int | None = None,
 ) -> EngineResult:
     """One-shot convenience wrapper around :class:`BatchAlignmentEngine`."""
@@ -1063,7 +789,6 @@ def align_pairs(
         max_read_len=max_read_len,
         chunk_timeout=chunk_timeout,
         max_chunk_retries=max_chunk_retries,
-        shared_memory=shared_memory,
         band_width=band_width,
     )
     with BatchAlignmentEngine(config) as engine:

@@ -38,9 +38,6 @@ METRIC_NAMES = frozenset({
     # per-stage wall-time (StageProfiler.publish, prefix "engine")
     "engine_stage_seconds_total",
     "engine_stage_calls_total",
-    # zero-copy dispatch (engine, shared-memory arena)
-    "engine_shm_sequences_total",
-    "engine_shm_arena_bytes",
     # alignment service (repro.serve: micro-batching admission control)
     "serve_requests_total",
     "serve_rejected_total",

@@ -5,8 +5,8 @@ asyncio socket server accepts newline-delimited JSON alignment
 requests from many concurrent clients and feeds them through a
 micro-batching scheduler into one long-lived
 :class:`~repro.engine.BatchAlignmentEngine` — so every client shares
-the engine's worker pool, LRU cache, duplicate coalescing and
-zero-copy dispatch path, and the fixed per-dispatch cost amortises
+the engine's worker pool, LRU cache and duplicate coalescing, and
+the fixed per-dispatch cost amortises
 across whoever happens to be asking at the same time.
 
 * :mod:`.protocol` — the NDJSON wire protocol and its error taxonomy;

@@ -1,9 +1,9 @@
 """The always-on alignment service: an asyncio NDJSON socket server.
 
 :class:`AlignmentServer` owns one long-lived
-:class:`~repro.engine.BatchAlignmentEngine` (its worker pool, LRU cache
-and shared-memory arena persist across every request of the session —
-the spin-up cost a one-shot CLI pays per invocation is paid once here)
+:class:`~repro.engine.BatchAlignmentEngine` (its worker pool and LRU
+cache persist across every request of the session — the spin-up cost a
+one-shot CLI pays per invocation is paid once here)
 and one :class:`~repro.serve.scheduler.MicroBatcher` feeding it.  Each
 client connection is read line by line; every request on a connection
 is pipelined into the shared scheduler as its own task, so a single
@@ -12,10 +12,9 @@ clients sending one each.
 
 Shutdown is a *graceful drain*: the listening socket closes first (no
 new connections), new submissions are rejected ``shutting_down``,
-queued requests still dispatch and get real answers, and only then do
-the engine pool and its ``/dev/shm`` arena tear down — the same
-leak-free exit contract the PR 6 battery pins for the CLI, extended to
-the serving path.
+queued requests still dispatch and get real answers, and only then
+does the engine pool tear down — the same leak-free exit contract the
+CLI keeps, extended to the serving path.
 
 The server never prints; the CLI (``repro-wfasic serve``) owns stdout
 and renders :meth:`MicroBatcher.session_report` on exit.
@@ -116,8 +115,8 @@ class AlignmentServer:
         if self.batcher is not None:
             await self.batcher.drain()
         for engine in self.engines:
-            # close() joins the pool and unlinks the arena — blocking
-            # work that belongs off the event loop.
+            # close() joins the pool — blocking work that belongs off
+            # the event loop.
             await asyncio.get_running_loop().run_in_executor(
                 None, engine.close
             )

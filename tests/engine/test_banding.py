@@ -7,8 +7,8 @@ The engine contract under ``EngineConfig.band_width``:
 * a banded run that reports ``reached_end=False`` is transparently
   re-aligned exact and counted (``BatchReport.band_fallbacks`` and the
   ``engine_band_fallbacks_total`` metric),
-* banding composes with the per-pair error channels, the zero-copy
-  parallel path, and the result cache (band-specific keys).
+* banding composes with the per-pair error channels, the parallel
+  path, and the result cache (band-specific keys).
 """
 
 import random
@@ -196,7 +196,7 @@ class TestBandComposition:
         assert res.outcomes[0].ok and res.outcomes[2].ok
         assert res.report.errors == 1 and res.report.rejected == 1
 
-    def test_parallel_shm_dispatch_composes(self):
+    def test_parallel_dispatch_composes(self):
         pairs = _workload(7, count=30)
         serial = align_pairs(
             pairs, backend="batched", backtrace=True, cache_size=0,
@@ -209,7 +209,6 @@ class TestBandComposition:
                 chunk_size=8,
                 backtrace=True,
                 cache_size=0,
-                shared_memory=True,
                 band_width=64,
             )
         ) as engine:

@@ -1,13 +1,11 @@
-"""The zero-copy dispatch battery: bit-identity, leaks, crash parity.
+"""The parallel dispatch battery: bit-identity, leaks, crash parity.
 
-ISSUE 6's headline deliverable: the shared-memory dispatch path
-(``EngineConfig.shared_memory``, the default for ``workers > 1``) must
-be *indistinguishable* from the in-process and pickled paths in every
-observable — per-pair scores, success flags, CIGARs, error channels and
-the report's work counters — while leaving zero ``/dev/shm`` segments
-behind after any batch, including batches whose workers were killed
-mid-chunk (the PR 3 poison-backend scenarios replayed on the zero-copy
-path).  The module-level twin is ``tests/align/test_arena.py``.
+The pickled chunk protocol (``workers > 1``) must be
+*indistinguishable* from the in-process path in every observable —
+per-pair scores, success flags, CIGARs, error channels and the
+report's work counters — and must leave nothing behind in ``/dev/shm``
+after any batch, including batches whose workers were killed mid-chunk
+(the poison-backend scenarios of ``test_fault_tolerance.py``).
 """
 
 from __future__ import annotations
@@ -17,16 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.align.arena import leaked_segments
-from repro.engine import (
-    BatchAlignmentEngine,
-    EngineConfig,
-    align_pairs,
-    register_backend,
-)
+from repro.engine import BatchAlignmentEngine, align_pairs, register_backend
 from repro.engine.backends import _BACKENDS
 from repro.engine.validation import ERROR_TIMEOUT, ERROR_WORKER_LOST
 from repro.workloads import PairGenerator
+from tests.util import shm_entries
 
 from .test_fault_tolerance import POISON, FaultInjectionBackend, good_batch
 
@@ -40,13 +33,6 @@ def faulty():
 
     yield install
     _BACKENDS.pop("faulty", None)
-
-
-def _shm_entries() -> set[str]:
-    root = Path("/dev/shm")
-    if not root.is_dir():
-        return set()
-    return {e.name for e in root.iterdir() if e.name.startswith(("wfarena", "wfaring"))}
 
 
 def _outcome_key(o):
@@ -76,13 +62,13 @@ def _mixed_batch(seed: int = 0, count: int = 24) -> list[tuple[str, str]]:
         ("A", "A"),          # minimal
         ("ACGT", "ACGT"),    # duplicate of a generated shape: coalescing
         ("ACGT", "ACGT"),
-        ("ACGN", "ACGT"),    # unsupported read: pickled-reply path
+        ("ACGN", "ACGT"),    # unsupported read: answered per pair
         ("ACQT", "ACGT"),    # invalid charset: rejected before dispatch
     ]
     return batch
 
 
-def _run(batch, *, backend, backtrace, workers, shared_memory=True):
+def _run(batch, *, backend, backtrace, workers):
     return align_pairs(
         batch,
         backend=backend,
@@ -90,40 +76,34 @@ def _run(batch, *, backend, backtrace, workers, shared_memory=True):
         workers=workers,
         chunk_size=4,
         cache_size=0,
-        shared_memory=shared_memory,
     )
 
 
 class TestDifferentialBitIdentity:
-    """shm == pickled == in-process, observable for observable."""
+    """in-process == workers=2, observable for observable."""
 
     @pytest.mark.parametrize("backend", ["scalar", "batched"])
     @pytest.mark.parametrize("backtrace", [False, True])
-    def test_three_paths_agree(self, backend, backtrace):
+    def test_paths_agree(self, backend, backtrace):
         batch = _mixed_batch(seed=7)
         solo = _run(batch, backend=backend, backtrace=backtrace, workers=1)
-        shm = _run(batch, backend=backend, backtrace=backtrace, workers=2)
-        pickled = _run(
-            batch, backend=backend, backtrace=backtrace, workers=2,
-            shared_memory=False,
-        )
-        solo_key = [_outcome_key(o) for o in solo.outcomes]
-        assert [_outcome_key(o) for o in shm.outcomes] == solo_key
-        assert [_outcome_key(o) for o in pickled.outcomes] == solo_key
-        assert _report_key(shm.report) == _report_key(solo.report)
-        assert _report_key(pickled.report) == _report_key(solo.report)
+        parallel = _run(batch, backend=backend, backtrace=backtrace, workers=2)
+        assert [_outcome_key(o) for o in parallel.outcomes] == [
+            _outcome_key(o) for o in solo.outcomes
+        ]
+        assert _report_key(parallel.report) == _report_key(solo.report)
 
     @pytest.mark.slow
     def test_wfasic_backend_agrees(self):
         batch = _mixed_batch(seed=11, count=12)
         solo = _run(batch, backend="wfasic", backtrace=True, workers=1)
-        shm = _run(batch, backend="wfasic", backtrace=True, workers=2)
-        assert [_outcome_key(o) for o in shm.outcomes] == [
+        parallel = _run(batch, backend="wfasic", backtrace=True, workers=2)
+        assert [_outcome_key(o) for o in parallel.outcomes] == [
             _outcome_key(o) for o in solo.outcomes
         ]
-        assert _report_key(shm.report) == _report_key(solo.report)
+        assert _report_key(parallel.report) == _report_key(solo.report)
 
-    def test_golden_vectors_on_the_shm_path(self):
+    def test_golden_vectors_on_the_parallel_path(self):
         # Anchors independent of the differential: an exact match and a
         # known single-substitution pair.
         res = _run(
@@ -144,65 +124,14 @@ class TestDifferentialBitIdentity:
         assert profile["ipc"]["seconds"] >= 0.0
 
 
-class TestEngineArenaLifecycle:
-    def test_no_arena_when_disabled_or_single_worker(self):
-        cfg = EngineConfig(backend="batched", workers=1)
-        with BatchAlignmentEngine(cfg) as engine:
-            engine.align_batch(good_batch())
-            assert engine._arena_pack is None
-        cfg = EngineConfig(backend="batched", workers=2, shared_memory=False)
-        with BatchAlignmentEngine(cfg) as engine:
-            engine.align_batch(good_batch())
-            assert engine._arena_pack is None
-
-    def test_arena_persists_and_memoises_across_batches(self):
-        cfg = EngineConfig(
-            backend="batched", workers=2, chunk_size=2, cache_size=0
-        )
-        with BatchAlignmentEngine(cfg) as engine:
-            engine.align_batch(good_batch())
-            arena = engine._arena_pack.arena
-            first_count = arena.interned
-            names = arena.segment_names
-            engine.align_batch(good_batch())
-            # Same sequences again: pure memo hits, no new packing.
-            assert arena.interned == first_count
-            assert arena.hits >= first_count
-            assert arena.segment_names == names
-
-    def test_close_leaves_no_segments(self):
-        before = _shm_entries()
-        cfg = EngineConfig(backend="batched", workers=2, chunk_size=2)
-        engine = BatchAlignmentEngine(cfg)
-        try:
-            engine.align_batch(_mixed_batch())
-        finally:
-            engine.close()
-        assert _shm_entries() - before == set()
-        assert leaked_segments() == []
-
-    def test_rings_are_batch_scoped(self):
-        # Arena segments persist across batches; ring segments must not.
-        cfg = EngineConfig(backend="batched", workers=2, chunk_size=2)
-        with BatchAlignmentEngine(cfg) as engine:
-            engine.align_batch(good_batch())
-            rings = [
-                n for n in _shm_entries()
-                if n.startswith(f"wfaring-{os.getpid()}-")
-            ]
-            assert rings == []
-
-
 class TestFaultToleranceParity:
-    """PR 3's poison scenarios, replayed on the zero-copy path."""
+    """The poison scenarios, replayed on the parallel path."""
 
-    @pytest.mark.parametrize("shared_memory", [True, False])
-    def test_raise_isolated_per_pair(self, faulty, shared_memory):
+    def test_raise_isolated_per_pair(self, faulty):
         faulty(mode="raise")
         batch = good_batch()[:2] + [(POISON, POISON)] + good_batch()[2:]
         res = align_pairs(
-            batch, backend="faulty", workers=2, chunk_size=2, cache_size=0,
-            shared_memory=shared_memory,
+            batch, backend="faulty", workers=2, chunk_size=2, cache_size=0
         )
         assert not res.outcomes[2].ok
         good = [o for i, o in enumerate(res.outcomes) if i != 2]
@@ -212,27 +141,25 @@ class TestFaultToleranceParity:
     def test_error_channel_identical_across_paths(self, faulty):
         faulty(mode="raise")
         batch = good_batch() + [(POISON, POISON)]
-        runs = [
+        solo, parallel = (
             align_pairs(
                 batch, backend="faulty", workers=workers, chunk_size=2,
-                cache_size=0, shared_memory=shm,
+                cache_size=0,
             )
-            for workers, shm in ((1, True), (2, True), (2, False))
+            for workers in (1, 2)
+        )
+        assert [_outcome_key(o) for o in parallel.outcomes] == [
+            _outcome_key(o) for o in solo.outcomes
         ]
-        keys = [[_outcome_key(o) for o in r.outcomes] for r in runs]
-        assert keys[1] == keys[0]
-        assert keys[2] == keys[0]
 
     @pytest.mark.slow
-    def test_worker_death_on_shm_path_quarantines_and_leaks_nothing(
-        self, faulty
-    ):
-        before = _shm_entries()
+    def test_worker_death_quarantines_and_leaks_nothing(self, faulty):
+        before = shm_entries()
         faulty(mode="exit")
         batch = good_batch() + [(POISON, POISON)] + good_batch()
         res = align_pairs(
             batch, backend="faulty", workers=2, chunk_size=2, cache_size=0,
-            chunk_timeout=3.0, max_chunk_retries=1, shared_memory=True,
+            chunk_timeout=3.0, max_chunk_retries=1,
         )
         for idx, (a, b) in enumerate(batch):
             o = res.outcomes[idx]
@@ -243,32 +170,28 @@ class TestFaultToleranceParity:
                 assert o.ok and o.score == len(a) + len(b), (idx, o)
         assert res.report.errors == 1
         assert res.report.retries >= 1
-        assert _shm_entries() - before == set()
-        assert leaked_segments() == []
+        assert shm_entries() - before == set()
 
     @pytest.mark.slow
-    def test_transient_worker_death_recovers_on_shm_path(
-        self, faulty, tmp_path
-    ):
+    def test_transient_worker_death_recovers(self, faulty, tmp_path):
         faulty(mode="exit", crash_once_path=str(tmp_path / "crashed.marker"))
         batch = good_batch() + [(POISON, POISON)]
         res = align_pairs(
             batch, backend="faulty", workers=2, chunk_size=2, cache_size=0,
-            chunk_timeout=3.0, max_chunk_retries=2, shared_memory=True,
+            chunk_timeout=3.0, max_chunk_retries=2,
         )
         assert all(o.ok for o in res.outcomes)
         assert res.outcomes[-1].score == 2 * len(POISON)
         assert res.report.retries >= 1
-        assert leaked_segments() == []
 
     @pytest.mark.slow
-    def test_hung_worker_times_out_on_shm_path(self, faulty):
-        before = _shm_entries()
+    def test_hung_worker_times_out(self, faulty):
+        before = shm_entries()
         faulty(mode="hang")
         batch = good_batch() + [(POISON, POISON)]
         res = align_pairs(
             batch, backend="faulty", workers=2, chunk_size=2, cache_size=0,
-            chunk_timeout=1.5, max_chunk_retries=0, shared_memory=True,
+            chunk_timeout=1.5, max_chunk_retries=0,
         )
         hung = res.outcomes[-1]
         assert not hung.ok
@@ -276,7 +199,7 @@ class TestFaultToleranceParity:
         for o, (a, b) in zip(res.outcomes, batch):
             if a != POISON:
                 assert o.ok and o.score == len(a) + len(b)
-        assert _shm_entries() - before == set()
+        assert shm_entries() - before == set()
 
     def test_unusable_pool_degrades_in_process(self, faulty, monkeypatch):
         faulty(mode="raise")
@@ -287,15 +210,13 @@ class TestFaultToleranceParity:
         )
         batch = good_batch() + [(POISON, POISON)]
         res = align_pairs(
-            batch, backend="faulty", workers=2, chunk_size=2, cache_size=0,
-            shared_memory=True,
+            batch, backend="faulty", workers=2, chunk_size=2, cache_size=0
         )
         assert [o.ok for o in res.outcomes] == [True] * 5 + [False]
-        assert leaked_segments() == []
 
 
 class TestInterruptedStream:
-    """ISSUE 8 satellite 3: interrupting a streamed CLI run is clean.
+    """Interrupting a streamed CLI run is clean.
 
     A SIGTERM (or Ctrl-C) mid-`--stream-chunk` must take the orderly
     exit: the engine context manager still tears down (pool joined, no
@@ -334,7 +255,7 @@ class TestInterruptedStream:
         import signal as signal_module
         import time
 
-        before = _shm_entries()
+        before = shm_entries()
         proc = self._spawn_stream(tmp_path, num_pairs=4000)
         try:
             time.sleep(3.0)  # engine up, several chunks through
@@ -350,13 +271,12 @@ class TestInterruptedStream:
         # describe() footer over however many chunks completed.
         assert "pairs=" in stdout, stdout
         assert "pair_id\tscore" in stdout
-        assert _shm_entries() - before == set()
-        assert leaked_segments(proc.pid) == []
+        assert shm_entries() - before == set()
 
     def test_sigterm_before_any_chunk_is_still_clean(self, tmp_path):
         import signal as signal_module
 
-        before = _shm_entries()
+        before = shm_entries()
         proc = self._spawn_stream(tmp_path, num_pairs=4000)
         try:
             proc.send_signal(signal_module.SIGTERM)  # likely pre-engine
@@ -368,5 +288,4 @@ class TestInterruptedStream:
         # Either nothing completed (the bare notice) or some chunks
         # did (the partial report) — both exit 130 and leak nothing.
         assert proc.returncode in (130, -15), stderr
-        assert _shm_entries() - before == set()
-        assert leaked_segments(proc.pid) == []
+        assert shm_entries() - before == set()

@@ -43,23 +43,23 @@ class TestImportsAndSymbols:
         index = _build(
             tmp_path,
             {
-                "src/repro/align/arena.py": """\
-                class SequenceArena:
-                    def close(self):
+                "src/repro/align/packing.py": """\
+                class PackCache:
+                    def clear(self):
                         pass
                 """,
                 "src/repro/engine/engine.py": """\
                 import time
-                from ..align.arena import SequenceArena
-                from repro.align import arena
+                from ..align.packing import PackCache
+                from repro.align import packing
                 """,
             },
         )
         imports = index.modules["repro.engine.engine"].imports
         assert imports["time"] == "time"
-        assert imports["SequenceArena"] == "repro.align.arena.SequenceArena"
-        assert imports["arena"] == "repro.align.arena"
-        assert "repro.align.arena.SequenceArena" in index.classes
+        assert imports["PackCache"] == "repro.align.packing.PackCache"
+        assert imports["packing"] == "repro.align.packing"
+        assert "repro.align.packing.PackCache" in index.classes
 
     def test_methods_fields_and_attr_types_collected(self, tmp_path):
         index = _build(

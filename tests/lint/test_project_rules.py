@@ -1,9 +1,8 @@
-"""Whole-program rule fixtures (W009–W014).
+"""Whole-program rule fixtures (W009, W011–W014).
 
 Each rule gets a positive (fires), a negative (blessed pattern passes),
 and a suppressed fixture.  Trees are shaped like the real package so
-async-root anchoring, scheduler detection and the arena exclusion are
-all exercised.  Tests select the rule under test so fixture noise from
+async-root anchoring and scheduler detection are exercised.  Tests select the rule under test so fixture noise from
 sibling rules cannot leak in.
 """
 
@@ -22,21 +21,6 @@ class MicroBatcher:
     async def drain(self):
         return None
 """
-
-#: The shm-owning class for W010 fixtures.  Lives at the real arena
-#: path, which the rule excludes from its own findings.
-ARENA = """\
-class SequenceArena:
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-"""
-
 
 class TestW009BlockingCallInAsync:
     def test_blocking_call_in_transitive_helper_flagged(self, lint_tree):
@@ -137,120 +121,6 @@ class TestW009BlockingCallInAsync:
 
 def _rules_suppressed(result):
     return sorted(f.rule_id for f in result.suppressed)
-
-
-class TestW010ResourceLifecycle:
-    def test_bare_creation_statement_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "src/repro/align/arena.py": ARENA,
-                "src/repro/engine/engine.py": """\
-                from repro.align.arena import SequenceArena
-
-                def prepare():
-                    arena = SequenceArena()
-                    return None
-                """,
-            },
-            select={"W010"},
-        )
-        assert _rules(result) == ["W010"]
-        assert "SequenceArena" in result.reported[0].message
-
-    def test_self_attr_without_teardown_surface_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "src/repro/align/arena.py": ARENA,
-                "src/repro/engine/engine.py": """\
-                from repro.align.arena import SequenceArena
-
-                class PackCache:
-                    def __init__(self):
-                        self.arena = SequenceArena()
-                """,
-            },
-            select={"W010"},
-        )
-        assert _rules(result) == ["W010"]
-
-    def test_with_close_transfer_and_owned_attr_pass(self, lint_tree):
-        result = lint_tree(
-            {
-                "src/repro/align/arena.py": ARENA,
-                "src/repro/engine/engine.py": """\
-                from repro.align.arena import SequenceArena
-
-                def scoped():
-                    with SequenceArena() as arena:
-                        return arena
-
-                def closed():
-                    arena = SequenceArena()
-                    try:
-                        return arena
-                    finally:
-                        arena.close()
-
-                def transferred(cache_cls):
-                    return cache_cls(arena=SequenceArena())
-
-                class PackCache:
-                    def __init__(self):
-                        self.arena = SequenceArena()
-
-                    def close(self):
-                        self.arena.close()
-                """,
-            },
-            select={"W010"},
-        )
-        assert result.reported == []
-
-    def test_factory_caller_that_discards_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "src/repro/align/arena.py": ARENA,
-                "src/repro/engine/engine.py": """\
-                from repro.align.arena import SequenceArena
-
-                def build_arena():
-                    return SequenceArena()
-
-                def leaky_caller():
-                    arena = build_arena()
-                    return None
-
-                def careful_caller():
-                    arena = build_arena()
-                    try:
-                        return len([arena])
-                    finally:
-                        arena.close()
-                """,
-            },
-            select={"W010"},
-        )
-        assert _rules(result) == ["W010"]
-        assert result.reported[0].line == 7  # the discarding call site
-        assert "never closes" in result.reported[0].message
-
-    def test_suppressed_with_justification(self, lint_tree):
-        result = lint_tree(
-            {
-                "src/repro/align/arena.py": ARENA,
-                "src/repro/engine/engine.py": """\
-                from repro.align.arena import SequenceArena
-
-                def intentional():
-                    # wfalint: disable=W010 — process-lifetime arena
-                    arena = SequenceArena()
-                    return None
-                """,
-            },
-            select={"W010"},
-        )
-        assert result.reported == []
-        assert _rules_suppressed(result) == ["W010"]
 
 
 class TestW011AwaitUnderLock:

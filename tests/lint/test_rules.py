@@ -350,20 +350,18 @@ class TestW005PickleBoundary:
 
 
 class TestW005DescriptorContract:
-    """The zero-copy half of W005: no live buffers at the boundary."""
+    """The buffer half of W005: no live buffers at the boundary."""
 
     def test_buffer_in_payload_alias_flagged(self, lint_tree):
         result = lint_tree(
             {
                 "src/repro/engine/protocol.py": """\
-                from multiprocessing.shared_memory import SharedMemory
-
                 ShmChunkPayload = tuple[str, SharedMemory, list[int]]
                 """
             }
         )
         assert _rules(result) == ["W005"]
-        assert "(arena_id, offset, length)" in result.reported[0].message
+        assert "pickle by value" in result.reported[0].message
 
     def test_memoryview_in_item_alias_flagged(self, lint_tree):
         result = lint_tree(
@@ -393,12 +391,10 @@ class TestW005DescriptorContract:
             result.reported[0].message
         )
 
-    def test_shared_memory_stored_on_backend_flagged(self, lint_tree):
+    def test_shm_segment_stored_on_backend_flagged(self, lint_tree):
         result = lint_tree(
             {
                 "src/repro/align/backends.py": """\
-                from multiprocessing.shared_memory import SharedMemory
-
                 class ArenaBackend:
                     def __init__(self, name):
                         self.segment = SharedMemory(name=name)

@@ -23,7 +23,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.align.arena import leaked_segments
 from repro.engine import EngineConfig, align_pairs
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -34,6 +33,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
+from tests.util import shm_entries
 
 ENGINE = dict(workers=1, backtrace=True)
 
@@ -229,6 +229,7 @@ class TestAdmissionOnTheWire:
 
 class TestGracefulDrain:
     def test_drain_answers_queued_work_and_refuses_new_connections(self):
+        before = shm_entries()
         handle = RunningServer(
             serve_config=ServeConfig(batch_window=0.5)
         )
@@ -257,13 +258,14 @@ class TestGracefulDrain:
         host, port = handle.address
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2)
-        assert leaked_segments() == []
+        assert shm_entries() - before == set()
 
     def test_shutdown_is_idempotent(self):
+        before = shm_entries()
         handle = RunningServer()
         handle.shutdown()
         handle.shutdown()
-        assert leaked_segments() == []
+        assert shm_entries() - before == set()
 
 
 class TestBitIdentity:

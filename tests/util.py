@@ -4,6 +4,7 @@ and the CIGAR-validity contract every aligner must satisfy."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from repro.align.cigar import Cigar
 from repro.align.penalties import AffinePenalties, LinearPenalties
@@ -83,3 +84,13 @@ def random_pair(
     """A pattern and an error-mutated copy of it."""
     a = random_seq(rng, length)
     return a, mutate(rng, a, rate)
+
+
+def shm_entries() -> set[str]:
+    """Names currently in ``/dev/shm`` (empty where it does not exist).
+
+    Leak checks take this before and after a run and assert the
+    difference is empty.
+    """
+    root = Path("/dev/shm")
+    return {entry.name for entry in root.iterdir()} if root.is_dir() else set()

@@ -9,7 +9,7 @@ cannot see:
 * **module naming** — ``src/repro/serve/server.py`` →
   ``repro.serve.server`` (``src/`` stripped, ``__init__`` collapsed);
 * **import graph** — per-module map of local names to fully-qualified
-  targets, including relative ``from ..align.arena import …`` forms;
+  targets, including relative ``from ..align.packing import …`` forms;
 * **symbol tables** — every function/method/class under its qualified
   name, with parameter lists (the timeout-propagation rule's raw
   material) and class-level attribute *types* resolved from

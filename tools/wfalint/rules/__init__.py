@@ -16,8 +16,6 @@ family they protect:
 * :mod:`.output` — W008 (no bare ``print`` in library modules);
 * :mod:`.async_blocking` — W009 (no blocking calls reachable from the
   event loop), W014 (no dropped ``create_task`` references);
-* :mod:`.resource_lifecycle` — W010 (every arena/ring creation paired
-  with a release path);
 * :mod:`.await_lock` — W011 (no scheduler re-entry while holding an
   ``asyncio.Lock``);
 * :mod:`.artifact_consistency` — W012 (vocabulary ↔ docs ↔ emitted
@@ -26,7 +24,7 @@ family they protect:
   forwarded to every dispatch);
 * :mod:`.suppressions` — W015 (stale inline waivers are findings).
 
-W009–W013 are :class:`~tools.wfalint.core.ProjectRule` subclasses and
+W009 and W011–W013 are :class:`~tools.wfalint.core.ProjectRule` subclasses and
 run in phase 2 against the cross-module
 :class:`~tools.wfalint.project.ProjectIndex`.
 """
@@ -42,7 +40,6 @@ from . import (  # noqa: F401  — imported for their registration side effect
     metrics_vocab,
     output,
     pickle_boundary,
-    resource_lifecycle,
     robustness,
     suppressions,
     timeout_propagation,
@@ -57,7 +54,6 @@ __all__ = [
     "metrics_vocab",
     "output",
     "pickle_boundary",
-    "resource_lifecycle",
     "robustness",
     "suppressions",
     "timeout_propagation",

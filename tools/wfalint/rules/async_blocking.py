@@ -83,8 +83,7 @@ def _blocking_reason(call: CallSite) -> str | None:
         for suffix in _BLOCKING_PROJECT_SUFFIXES:
             if target.endswith(suffix):
                 return (
-                    f"`{target}` joins the worker pool / shared-memory "
-                    "arena synchronously"
+                    f"`{target}` joins the worker pool synchronously"
                 )
     if call.raw in _BLOCKING_QUALIFIED:
         return f"`{call.raw}` blocks the calling thread"

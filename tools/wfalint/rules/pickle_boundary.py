@@ -15,15 +15,13 @@ factory runs in-process and only its (picklable) result lands on the
 instance.  ``field(default=lambda ...)`` and ``attr = lambda`` class
 defaults are flagged — there the lambda itself becomes instance state.
 
-The rule also enforces the zero-copy *descriptor-only contract*
-(``docs/shared-memory.md``): live buffer objects — ``SharedMemory``
-handles, ``memoryview`` exports, raw ``ndarray`` views — must never
-appear on a boundary class or in a chunk-protocol type alias (a
-module-level alias named ``*Payload`` or ``*Item``).  Sequences cross
-the boundary as ``(arena_id, offset, length)`` descriptors; workers
-attach the named segment themselves.  Shipping the buffer instead
-either dies in ``pickle.dumps`` or — worse — silently copies the
-bytes, defeating the zero-copy path while tests stay green.
+The rule also keeps live buffer objects — ``SharedMemory`` handles,
+``memoryview`` exports, raw ``ndarray`` views — off a boundary class
+and out of a chunk-protocol type alias (a module-level alias named
+``*Payload`` or ``*Item``).  Sequences cross the boundary as plain
+strings inside the pickled chunk.  Shipping a buffer instead either
+dies in ``pickle.dumps`` or — worse — pins process-local state the
+worker cannot see, while ``workers=1`` tests stay green.
 """
 
 from __future__ import annotations
@@ -47,9 +45,8 @@ _BOUNDARY_CLASSES = {
 _BOUNDARY_SUFFIXES = ("Backend",)
 
 #: Type names that denote live process-local buffers.  None of these may
-#: appear on a boundary class or in a chunk-protocol type alias — the
-#: descriptor-only contract ships ``(arena_id, offset, length)`` handles
-#: and lets the worker attach the segment itself.
+#: appear on a boundary class or in a chunk-protocol type alias — chunks
+#: carry plain values that pickle by value.
 _BUFFER_NAMES = {
     "SharedMemory",
     "memoryview",
@@ -120,8 +117,8 @@ class PickleBoundaryRule(Rule):
         "(SharedMemory / memoryview / ndarray) must not be stored on "
         "EngineConfig / PairItem / chunk payloads / backend classes — "
         "they die in `pickle.dumps` at dispatch time (or silently copy), "
-        "only on the parallel path.  Ship (arena_id, offset, length) "
-        "descriptors instead of buffers."
+        "only on the parallel path.  Ship plain values (strings, ints, "
+        "tuples of them) instead of buffers."
     )
     invariant = (
         "Everything the engine ships to a worker round-trips through "
@@ -161,9 +158,8 @@ class PickleBoundaryRule(Rule):
                     ctx,
                     stmt,
                     f"chunk-protocol alias `{target.id}` references the "
-                    f"live buffer type `{banned}`; ship (arena_id, offset, "
-                    "length) descriptors — workers attach the segment "
-                    "themselves",
+                    f"live buffer type `{banned}`; ship plain values "
+                    "(strings, ints) that pickle by value",
                 )
 
     def _check_class_body(
@@ -181,8 +177,7 @@ class PickleBoundaryRule(Rule):
                         stmt,
                         f"`{cls.name}.{attr}` is annotated with the live "
                         f"buffer type `{banned}`; boundary classes carry "
-                        "(arena_id, offset, length) descriptors, not "
-                        "buffers",
+                        "plain picklable values, not buffers",
                     )
                 if stmt.value is None:
                     continue
