@@ -38,6 +38,7 @@ __all__ = [
     "BatchedComputeOutput",
     "BatchedExtendOutput",
     "band_prune_batched",
+    "batch_words",
     "compute_kernel",
     "extend_kernel",
     "compute_kernel_batched",
@@ -148,6 +149,10 @@ def compute_kernel(
 #: Bytes (bases) compared per word operation of :func:`extend_kernel`.
 _WORD_BYTES = 8
 _ONE = np.uint64(1)
+#: Words each still-matching cell compares per pass after its first in
+#: :func:`extend_kernel_batched`.
+_TAIL_WORDS = 16
+_TAIL_STRIDES = _WORD_BYTES * np.arange(_TAIL_WORDS, dtype=np.int64)
 
 
 def _lowest_bit_exponent(diff: np.ndarray) -> np.ndarray:
@@ -182,6 +187,23 @@ def sequence_words(seq: str, *, sentinel: int) -> np.ndarray:
     padded = pad_sequence(seq, sentinel=sentinel)
     count = len(padded) - _WORD_BYTES + 1
     return np.ndarray((count,), dtype="<u8", buffer=padded, strides=(1,)).copy()
+
+
+def batch_words(padded: np.ndarray) -> np.ndarray:
+    """The 2-D counterpart of :func:`sequence_words`, one row per sequence.
+
+    ``padded`` is a C-contiguous :func:`repro.align.packing.pack_batch`
+    matrix; ``words[r, p]`` holds bytes ``p..p+7`` of its row ``r``.  The
+    result is one contiguous copy of a strided view, the comparison
+    operand of :func:`extend_kernel_batched`.
+    """
+    rows, width = padded.shape
+    return np.ndarray(
+        (rows, width - _WORD_BYTES + 1),
+        dtype="<u8",
+        buffer=padded,
+        strides=(width, 1),
+    ).copy()
 
 
 @dataclass(frozen=True)
@@ -223,18 +245,40 @@ def gather_window_batched(
     the batched analog of :meth:`repro.align.wfa.Wavefront.window`, and
     of the hardware's banked per-section RAM addressing (Fig. 6).
     """
-    pairs = data.shape[0]
-    idx = (
-        lo_new[:, None]
-        + np.arange(width, dtype=np.int64)[None, :]
-        + (shift - lo_src)[:, None]
-    )
-    in_band = (idx >= 0) & (idx < (hi_src - lo_src + 1)[:, None])
-    if data.shape[1] == 0:
-        return np.full((pairs, width), NULL_OFFSET, dtype=np.int64)
-    np.clip(idx, 0, data.shape[1] - 1, out=idx)
-    vals = np.take_along_axis(data, idx, axis=1)
-    return np.where(in_band, vals, NULL_OFFSET)
+    idx = _window_index(lo_src, hi_src, data.shape[1], lo_new, width, shift)
+    return _take_window(data, idx)
+
+
+def _window_index(
+    lo_src: np.ndarray,
+    hi_src: np.ndarray,
+    w_src: int,
+    lo_new: np.ndarray,
+    width: int,
+    shift: int,
+) -> np.ndarray:
+    """Flat indices of a :func:`gather_window_batched` window.
+
+    They index the source as :func:`_take_window` pads it: one NULL
+    column appended to each row, which out-of-band cells point at.
+    Viewed as unsigned, a negative index is huge, so one comparison
+    against the band width catches both ends.  Sources of equal shape
+    and band share one index.
+    """
+    band = np.minimum(np.maximum(hi_src - lo_src + 1, 0), w_src)
+    idx = (lo_new + (shift - lo_src))[:, None] + np.arange(width, dtype=np.int64)
+    idx = np.where(idx.view(np.uint64) < band.view(np.uint64)[:, None], idx, w_src)
+    idx += np.arange(0, len(idx) * (w_src + 1), w_src + 1, dtype=np.int64)[:, None]
+    return idx
+
+
+def _take_window(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The window at :func:`_window_index` ``idx``: one flat ``take``."""
+    pairs, w_src = data.shape
+    src = np.empty((pairs, w_src + 1), dtype=np.int64)
+    src[:, :w_src] = data
+    src[:, w_src] = NULL_OFFSET
+    return src.take(idx)
 
 
 def compute_kernel_batched(
@@ -262,9 +306,13 @@ def compute_kernel_batched(
     dele = np.maximum(m_oe_kp1, d_e_kp1)
     sub = m_x + 1
 
+    # A candidate lives iff ``0 <= offset < room``: within the text
+    # (``offset <= m``), the pattern (``offset - k <= n``) and the band.
+    # Viewed as unsigned, one comparison checks both ends.
+    room = np.where(valid, np.maximum(np.minimum(ms, ks + ns) + 1, 0), 0)
+    room = room.view(np.uint64)
     for arr in (ins, dele, sub):
-        dead = (arr > ms) | (arr - ks > ns) | (arr < 0) | ~valid
-        arr[dead] = NULL_OFFSET
+        arr[arr.view(np.uint64) >= room] = NULL_OFFSET
 
     mwf = np.maximum(np.maximum(ins, dele), sub)
     return BatchedComputeOutput(
@@ -320,7 +368,7 @@ def band_prune_batched(
     ks = lo[:, None] + np.arange(width, dtype=np.int64)[None, :]
     prog = np.where(m >= 0, 2 * m - ks, PROG_NULL)
     center = lo + np.argmax(prog, axis=1)
-    blo = np.clip(center - band_width // 2, lo, hi - band_width + 1)
+    blo = np.minimum(np.maximum(center - band_width // 2, lo), hi - band_width + 1)
     blo = np.where(need, blo, lo)
     bhi = np.where(need, blo + band_width - 1, hi)
 
@@ -330,84 +378,88 @@ def band_prune_batched(
         pruned += ((arr >= 0) & outside).sum(axis=1)
 
     new_width = int((bhi - blo).max()) + 1
-    # The gather masks by the *source* band, so a pruned row whose new
-    # window starts at its old ``lo`` would keep cells beyond ``bhi`` in
-    # its padding columns; null everything past each row's new window.
-    in_window = (
-        np.arange(new_width, dtype=np.int64)[None, :] <= (bhi - blo)[:, None]
-    )
-
-    def shrink(arr: np.ndarray) -> np.ndarray:
-        out = gather_window_batched(arr, lo, hi, blo, new_width, 0)
-        return np.where(in_window, out, NULL_OFFSET)
-
+    # ``bhi <= hi``, so gathering with ``bhi`` as the source band end
+    # also nulls the cells of a pruned row past its new window.
+    idx = _window_index(lo, bhi, width, blo, new_width, 0)
     return BandPruneOutput(
-        m=shrink(m), i=shrink(i), d=shrink(d), lo=blo, hi=bhi, pruned=pruned
+        m=_take_window(m, idx),
+        i=_take_window(i, idx),
+        d=_take_window(d, idx),
+        lo=blo,
+        hi=bhi,
+        pruned=pruned,
     )
 
 
 def extend_kernel_batched(
-    av_pad: np.ndarray,
-    bv_pad: np.ndarray,
+    a_words: np.ndarray,
+    b_words: np.ndarray,
+    word_rows: np.ndarray,
     ns: np.ndarray,
     ms: np.ndarray,
     offsets: np.ndarray,
     lo: np.ndarray,
-    *,
-    block: int = 16,
 ) -> BatchedExtendOutput:
-    """extend() for one score step of a whole batch, in 16-base blocks.
+    """extend() for one score step of a whole batch, comparing 8-byte words.
 
-    ``av_pad``/``bv_pad`` are :func:`repro.align.packing.pack_batch`
-    matrices (one padded sequence per row, distinct sentinels for the
-    two sides); ``offsets`` is ``(pairs, width)`` with row ``p`` holding
-    the pre-extension M offsets for diagonals starting at ``lo[p]``.
+    ``a_words``/``b_words`` are :func:`batch_words` matrices (distinct
+    sentinels for the two sides) and ``word_rows[p]`` is the word-matrix
+    row of offset row ``p``, so a batch can retire pairs without
+    compacting its words.  ``offsets`` is ``(pairs, width)`` with row
+    ``p`` holding the pre-extension M offsets for diagonals starting at
+    ``lo[p]``; ``ns``/``ms`` are the per-row sequence lengths.
 
-    All still-active cells across *all* pairs advance together: each
-    block-loop iteration compares 16 bases for every live cell of every
-    pair, so the per-call numpy overhead is paid once per batch instead
-    of once per pair.  Per-pair match/comparison counts come back so
-    work counters stay pair-accurate.
+    All live cells inside both sequences, across *all* pairs, find their
+    match length ``L`` together from 8-byte words as :func:`extend_kernel`
+    does, so the per-call numpy overhead is paid once per batch instead
+    of once per pair.  Per pair, ``matches`` is
+    ``sum(L)`` and ``comparisons`` (scalar-equivalent) adds one
+    discovery compare per cell that stopped on a mismatch inside both
+    sequences, which keeps work counters pair-accurate.
     """
     num_pairs, width = offsets.shape
-    out = offsets.astype(np.int64, copy=True)
-    matches = np.zeros(num_pairs, dtype=np.int64)
-    comparisons = np.zeros(num_pairs, dtype=np.int64)
-    span = np.arange(block, dtype=np.int64)
+    out = offsets.astype(np.int64, order="C")  # a copy its ravel() views
+    ks = lo[:, None] + np.arange(width, dtype=np.int64)
+    # Each diagonal ends at the text end ``m`` or the pattern end ``k + n``.
+    stop = np.minimum(ms[:, None], ks + ns[:, None])
+    cells = np.flatnonzero((out >= 0) & (out < stop))
+    rows = cells // max(width, 1)
+    j0 = out.ravel()[cells]
+    i0 = j0 - ks.ravel()[cells]
+    a_pos = word_rows[rows] * a_words.shape[1] + i0
+    b_pos = word_rows[rows] * b_words.shape[1] + j0
+    a_flat = a_words.ravel()
+    b_flat = b_words.ravel()
 
-    ks = lo[:, None] + np.arange(width, dtype=np.int64)[None, :]
-    live = out >= 0
-    j2d = np.where(live, out, 0)
-    i2d = np.where(live, j2d - ks, 0)
-    sel = live & (i2d < ns[:, None]) & (j2d < ms[:, None])
-    rows, cols = np.nonzero(sel)
-    i = i2d[rows, cols]
-    j = j2d[rows, cols]
-
-    while rows.size:
-        ai = i[:, None] + span
-        bj = j[:, None] + span
-        neq = av_pad[rows[:, None], ai] != bv_pad[rows[:, None], bj]
-        hit = neq.any(axis=1)
-        run = np.where(hit, neq.argmax(axis=1), block)
-        i += run
-        j += run
-        matches += np.bincount(rows, weights=run, minlength=num_pairs).astype(
-            np.int64
+    # ``run`` is the byte index of the first difference, or -1 (to be
+    # overwritten) for cells whose whole word matched.  Most cells stop
+    # in their first word; the few long runs go on ``_TAIL_WORDS`` words
+    # per pass.  A run always ends by the first sentinel, so words read
+    # past it (clipped at the matrix end) never decide anything.
+    exp = _lowest_bit_exponent(a_flat[a_pos] ^ b_flat[b_pos])
+    run = (exp - 1) >> 3
+    todo = np.flatnonzero(exp == 0)
+    matched = _WORD_BYTES
+    while todo.size:
+        ahead = matched + _TAIL_STRIDES
+        exps = _lowest_bit_exponent(
+            a_flat.take(a_pos[todo, None] + ahead, mode="clip")
+            ^ b_flat.take(b_pos[todo, None] + ahead, mode="clip")
         )
-        # Scalar-equivalent comparisons: matched chars, plus one discovery
-        # compare for runs stopped by a genuine in-bounds mismatch (a stop
-        # at a sequence end costs no compare in the scalar model).
-        inside = (i < ns[rows]) & (j < ms[rows])
-        comparisons += np.bincount(
-            rows, weights=run + (hit & inside), minlength=num_pairs
-        ).astype(np.int64)
-        keep = (~hit) & inside
-        done = ~keep
-        out[rows[done], cols[done]] = j[done]
-        rows, cols, i, j = rows[keep], cols[keep], i[keep], j[keep]
+        first = (exps != 0).argmax(axis=1)
+        exp = exps[np.arange(todo.size), first]
+        run[todo] = matched + _WORD_BYTES * first + ((exp - 1) >> 3)
+        todo = todo[exp == 0]
+        matched += _WORD_BYTES * _TAIL_WORDS
 
-    return BatchedExtendOutput(offsets=out, matches=matches, comparisons=comparisons)
+    end = j0 + run
+    out.ravel()[cells] = end
+    at_end = end == stop.ravel()[cells]
+    matches = np.bincount(rows, weights=run, minlength=num_pairs).astype(np.int64)
+    stops = np.bincount(rows, weights=~at_end, minlength=num_pairs).astype(np.int64)
+    return BatchedExtendOutput(
+        offsets=out, matches=matches, comparisons=matches + stops
+    )
 
 
 def extend_kernel(

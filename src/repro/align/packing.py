@@ -1,8 +1,10 @@
 """Sequence packing for the batched kernels, with a per-sequence cache.
 
 The batched aligner needs every pattern (and text) of a batch as one row
-of a 2D ``uint8`` matrix, padded with a sentinel so the 16-base extend
-comparator never reads past a sequence end.  Converting a Python string
+of a 2D ``uint8`` matrix, padded with sentinel bytes so a run of
+matches always ends by the sequence end.  The aligner turns that matrix
+into 8-byte comparison words once per batch
+(:func:`repro.align.kernels.batch_words`).  Converting a Python string
 to that padded row (:func:`repro.align.kernels.pad_sequence`) costs an
 encode plus an allocation per sequence — pure overhead when the serving
 mix repeats sequences, so :class:`PackCache` memoises the rows.

@@ -15,8 +15,10 @@ Because penalties are shared across a batch, every pair's wavefront at
 penalty ``s`` is computable in the same step: pairs differ only in their
 band (tracked per row) and in when they converge.  Pairs whose ``M``
 wavefront reaches ``(n, m)`` retire immediately — their rows are
-compacted out of every live array — so a batch never keeps paying for
-finished pairs while stragglers run on (the "retire on converge" rule).
+compacted out of every live array (the read-only sequence words stay
+put, indexed by original pair position) — so a batch never keeps paying
+for finished pairs while stragglers run on (the "retire on converge"
+rule).
 
 Results are bit-identical to :class:`repro.align.wfa.WfaAligner`: the
 per-row recurrence, band clamping, extension and backtrace are the same
@@ -35,6 +37,7 @@ import numpy as np
 from .kernels import (
     BAND_ABSENT,
     band_prune_batched,
+    batch_words,
     compute_kernel_batched,
     extend_kernel_batched,
     gather_window_batched,
@@ -175,11 +178,18 @@ class BatchedWfaAligner:
         with prof.stage("pack"):
             if self.pack_cache is not None:
                 hits0, miss0 = self.pack_cache.hits, self.pack_cache.misses
-            av2d = pack_batch(
-                [a for a, _ in pairs], sentinel=_SENTINEL_A, cache=self.pack_cache
+            # Word matrices stay indexed by original pair position (the
+            # extend kernel maps live rows through ``act``), so retiring
+            # pairs never copies them; the byte matrices are dropped here.
+            a_words = batch_words(
+                pack_batch(
+                    [a for a, _ in pairs], sentinel=_SENTINEL_A, cache=self.pack_cache
+                )
             )
-            bv2d = pack_batch(
-                [b for _, b in pairs], sentinel=_SENTINEL_B, cache=self.pack_cache
+            b_words = batch_words(
+                pack_batch(
+                    [b for _, b in pairs], sentinel=_SENTINEL_B, cache=self.pack_cache
+                )
             )
             if self.pack_cache is not None:
                 prof.count("pack_hits", self.pack_cache.hits - hits0)
@@ -243,10 +253,11 @@ class BatchedWfaAligner:
         ) -> None:
             if not self.keep_backtrace:
                 return
-            for r in np.flatnonzero(live_m):
-                w = int(hi[r] - lo[r]) + 1
-                lo_r, hi_r = int(lo[r]), int(hi[r])
-                orig = int(act[r])
+            rows = np.flatnonzero(live_m)
+            for r, lo_r, hi_r, orig in zip(
+                rows.tolist(), lo[rows].tolist(), hi[rows].tolist(), act[rows].tolist()
+            ):
+                w = hi_r - lo_r + 1
                 # Copy the row slices: a view would pin the whole padded
                 # batch array alive for the pair's entire history, which
                 # is exactly the memory blow-up banding exists to avoid.
@@ -262,7 +273,7 @@ class BatchedWfaAligner:
             ``failed`` rows (band loss / hard cap under banding) get a
             ``reached_end=False`` result instead of a backtrace.
             """
-            nonlocal act, av2d, bv2d, ns, ms, kfin, hard_caps, last_live
+            nonlocal act, ns, ms, kfin, hard_caps, last_live
             if failed:
                 for r in np.flatnonzero(done):
                     orig = int(act[r])
@@ -291,8 +302,6 @@ class BatchedWfaAligner:
             with prof.stage("retire"):
                 keep = ~done
                 act = act[keep]
-                av2d = av2d[keep]
-                bv2d = bv2d[keep]
                 ns, ms, kfin = ns[keep], ms[keep], kfin[keep]
                 hard_caps = hard_caps[keep]
                 last_live = last_live[keep]
@@ -305,7 +314,13 @@ class BatchedWfaAligner:
         hi0 = np.zeros(act.size, dtype=np.int64)
         with prof.stage("extend"):
             ext0 = extend_kernel_batched(
-                av2d, bv2d, ns, ms, np.zeros((act.size, 1), dtype=np.int64), lo0
+                a_words,
+                b_words,
+                act,
+                ns,
+                ms,
+                np.zeros((act.size, 1), dtype=np.int64),
+                lo0,
             )
         ext_cmp[act] += ext0.comparisons
         ext_match[act] += ext0.matches
@@ -412,16 +427,16 @@ class BatchedWfaAligner:
                 hi_new = np.where(exists, hi_new, -BAND_ABSENT)
                 width = int((hi_new - lo_new).max()) + 1
 
-                def win(rec: _BatchRecord | None, which: str, shift: int) -> np.ndarray:
+                def win(
+                    rec: _BatchRecord | None, which: str, shift: int, cols: int
+                ) -> np.ndarray:
                     if rec is None:
-                        return np.full(
-                            (act.size, width), NULL_OFFSET, dtype=np.int64
-                        )
+                        return np.full((act.size, cols), NULL_OFFSET, dtype=np.int64)
                     data = getattr(rec, which)
                     lo_src = getattr(rec, f"lo_{which}")
                     hi_src = getattr(rec, f"hi_{which}")
                     return gather_window_batched(
-                        data, lo_src, hi_src, lo_new, width, shift
+                        data, lo_src, hi_src, lo_new, cols, shift
                     )
 
                 ks = lo_new[:, None] + np.arange(width, dtype=np.int64)[None, :]
@@ -429,12 +444,15 @@ class BatchedWfaAligner:
                     np.arange(width, dtype=np.int64)[None, :]
                     <= (hi_new - lo_new)[:, None]
                 )
+                # One gather serves both gap-open sources: the k-1 and
+                # k+1 windows of M[s-o-e] are two slices of it.
+                m_oe = win(rec_oe, "m", -1, width + 2)
                 out = compute_kernel_batched(
-                    win(rec_x, "m", 0),
-                    win(rec_oe, "m", -1),
-                    win(rec_e, "i", -1),
-                    win(rec_oe, "m", +1),
-                    win(rec_e, "d", +1),
+                    win(rec_x, "m", 0, width),
+                    m_oe[:, :width],
+                    win(rec_e, "i", -1, width),
+                    m_oe[:, 2:],
+                    win(rec_e, "d", +1, width),
                     ks,
                     ns[:, None],
                     ms[:, None],
@@ -447,7 +465,9 @@ class BatchedWfaAligner:
                 continue
 
             with prof.stage("extend"):
-                ext = extend_kernel_batched(av2d, bv2d, ns, ms, out.m, lo_new)
+                ext = extend_kernel_batched(
+                    a_words, b_words, act, ns, ms, out.m, lo_new
+                )
             ext_cmp[act] += ext.comparisons
             ext_match[act] += ext.matches
             wf_steps[act] += out.live_m
@@ -461,7 +481,7 @@ class BatchedWfaAligner:
             cols = kfin - lo_new
             in_band = (cols >= 0) & (cols <= hi_new - lo_new)
             vals = ext.offsets[
-                np.arange(act.size), np.clip(cols, 0, width - 1)
+                np.arange(act.size), np.minimum(np.maximum(cols, 0), width - 1)
             ]
             done = out.live_m & in_band & (vals == ms)
 

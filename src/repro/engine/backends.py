@@ -264,7 +264,9 @@ class BatchedWfaBackend(AlignmentBackend):
         exact aligner, so a collapsed band degrades to exact alignment
         instead of a failed pair.  The profile carries
         ``band_fallbacks`` (retried pairs) and ``peak_wavefront_bytes``
-        (summed per-pair peak stored wavefront bytes) as pure counters.
+        (summed per-pair peak stored wavefront bytes) as pure counters;
+        a retried pair is charged the larger of its banded and exact
+        peaks, as :class:`ScalarWfaBackend` charges it.
         """
         profiler = StageProfiler()
         aligner = BatchedWfaAligner(
@@ -276,6 +278,7 @@ class BatchedWfaBackend(AlignmentBackend):
         )
         batch_pairs = [(pattern, text) for _, pattern, text in items]
         results = aligner.align_batch(batch_pairs)
+        peaks = [r.work.peak_wavefront_bytes for r in results]
         if band_width is not None:
             failed = [i for i, r in enumerate(results) if not r.reached_end]
             if failed:
@@ -289,11 +292,9 @@ class BatchedWfaBackend(AlignmentBackend):
                     failed, exact.align_batch([batch_pairs[i] for i in failed])
                 ):
                     results[i] = res
+                    peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
             profiler.count("band_fallbacks", len(failed))
-        profiler.count(
-            "peak_wavefront_bytes",
-            sum(r.work.peak_wavefront_bytes for r in results),
-        )
+        profiler.count("peak_wavefront_bytes", sum(peaks))
         outcomes = [
             PairOutcome(
                 slot=slot,

@@ -409,14 +409,14 @@ class TestBatchedKernelsMatch1D:
     def test_extend_rows_equal_1d(self):
         import random as _random
 
-        from repro.align.kernels import extend_kernel_batched
+        from repro.align.kernels import batch_words, extend_kernel_batched
         from repro.align.packing import pack_batch
         from tests.util import random_pair
 
         rng = _random.Random(4)
         seqs = [random_pair(rng, length, 0.2) for length in (0, 3, 20, 40, 40)]
-        av2d = pack_batch([a for a, _ in seqs], sentinel=0xFF)
-        bv2d = pack_batch([b for _, b in seqs], sentinel=0xFE)
+        aw = batch_words(pack_batch([a for a, _ in seqs], sentinel=0xFF))
+        bw = batch_words(pack_batch([b for _, b in seqs], sentinel=0xFE))
         ns = np.array([len(a) for a, _ in seqs], dtype=np.int64)
         ms = np.array([len(b) for _, b in seqs], dtype=np.int64)
         width = 7
@@ -429,7 +429,8 @@ class TestBatchedKernelsMatch1D:
                 if 0 <= j - k <= len(a):
                     offsets[r, t] = j
 
-        out = extend_kernel_batched(av2d, bv2d, ns, ms, offsets, lo)
+        rows = np.arange(len(seqs), dtype=np.int64)
+        out = extend_kernel_batched(aw, bw, rows, ns, ms, offsets, lo)
         for r, (a, b) in enumerate(seqs):
             ref = extend_kernel(
                 sequence_words(a, sentinel=0xFF),
@@ -467,3 +468,142 @@ class TestBatchedKernelsMatch1D:
             shift=0,
         )
         assert (out == NULL).all()
+
+
+def batched_extend(rows):
+    """Run :func:`extend_kernel_batched` on ``(a, b, offsets, lo)`` rows.
+
+    The word matrices hold the sequences in reverse order behind one
+    unrelated row, so the kernel must map every offset row through
+    ``word_rows`` to find its words.
+    """
+    from repro.align.kernels import batch_words, extend_kernel_batched
+    from repro.align.packing import pack_batch
+
+    count = len(rows)
+    width = max(len(offsets) for _, _, offsets, _ in rows)
+    offsets = np.full((count, width), NULL, dtype=np.int64)
+    for p, (_, _, row, _) in enumerate(rows):
+        offsets[p, : len(row)] = row
+    a_words = batch_words(
+        pack_batch(["GT"] + [a for a, _, _, _ in reversed(rows)], sentinel=0xFF)
+    )
+    b_words = batch_words(
+        pack_batch(["TG"] + [b for _, b, _, _ in reversed(rows)], sentinel=0xFE)
+    )
+    word_rows = np.arange(count, 0, -1, dtype=np.int64)
+    out = extend_kernel_batched(
+        a_words,
+        b_words,
+        word_rows,
+        np.array([len(a) for a, _, _, _ in rows], dtype=np.int64),
+        np.array([len(b) for _, b, _, _ in rows], dtype=np.int64),
+        offsets,
+        np.array([lo for _, _, _, lo in rows], dtype=np.int64),
+    )
+    return offsets, out
+
+
+@st.composite
+def gather_cases(draw):
+    """A batched wavefront with random bands and windows to cut from it.
+
+    Bands may be narrower than the matrix (the padding columns hold live
+    values the gather must not leak) and rows may be :data:`BAND_ABSENT`
+    on either side.
+    """
+    from repro.align.kernels import BAND_ABSENT
+
+    pairs = draw(st.integers(1, 5))
+    w_src = draw(st.integers(0, 8))
+    values = draw(st.lists(st.integers(-1, 50), min_size=pairs * w_src,
+                           max_size=pairs * w_src))
+    data = np.array(values, dtype=np.int64).reshape(pairs, w_src)
+    data[data < 0] = NULL
+    lo_src, hi_src, lo_new = [], [], []
+    for _ in range(pairs):
+        if draw(st.integers(0, 3)) == 0:
+            lo_src.append(BAND_ABSENT)
+            hi_src.append(-BAND_ABSENT)
+        else:
+            lo = draw(st.integers(-12, 12))
+            lo_src.append(lo)
+            hi_src.append(lo + draw(st.integers(0, w_src)) - 1)
+        absent = draw(st.integers(0, 3)) == 0
+        lo_new.append(BAND_ABSENT if absent else draw(st.integers(-16, 16)))
+    width = draw(st.integers(0, 10))
+    shift = draw(st.sampled_from((-1, 0, 1)))
+    lo_src, hi_src, lo_new = (
+        np.array(xs, dtype=np.int64) for xs in (lo_src, hi_src, lo_new)
+    )
+    return data, lo_src, hi_src, lo_new, width, shift
+
+
+class TestBatchedKernelsMatchReferences:
+    """The batched kernels equal the per-pair references, row by row."""
+
+    @staticmethod
+    def check_extend(rows):
+        offsets, out = batched_extend(rows)
+        for p, (a, b, _, lo) in enumerate(rows):
+            ref_offsets, _, ref_matches, ref_comparisons = block_loop_extend(
+                a, b, offsets[p].tolist(), lo
+            )
+            assert out.offsets[p].tolist() == ref_offsets
+            assert out.matches[p] == ref_matches
+            assert out.comparisons[p] == ref_comparisons
+
+    @staticmethod
+    def check_gather(data, lo_src, hi_src, lo_new, width, shift):
+        from repro.align.kernels import gather_window_batched
+        from repro.align.wfa import Wavefront
+
+        out = gather_window_batched(data, lo_src, hi_src, lo_new, width, shift)
+        assert out.shape == (len(data), width)
+        for r in range(len(data)):
+            band = max(int(hi_src[r] - lo_src[r]) + 1, 0)
+            wf = Wavefront(int(lo_src[r]), int(hi_src[r]), data[r, :band])
+            start = int(lo_new[r]) + shift
+            assert out[r].tolist() == wf.window(start, start + width - 1).tolist()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Runs of 8, 136 and 264 bases end on word and tail-pass
+            # boundaries; the 300-base run needs several tail passes.
+            [("A" * 8 + "C", "A" * 8 + "G", [0], 0)],
+            [("A" * 136 + "C", "A" * 136 + "G", [0], 0)],
+            [("A" * 264, "A" * 300, [0], 0), ("A" * 300, "A" * 300, [0, 0, 1], -1)],
+            # Rows of different widths, an empty pair and an all-NULL row.
+            [("", "", [0], 0), ("ACGT", "ACGA", [NULL, NULL], 0),
+             ("ACGT" * 5, "ACGT" * 5, [0, 0, 0, 1, 2], -2)],
+            # Width 0.
+            [("ACGT", "ACGT", [], 0), ("AC", "AC", [], 1)],
+        ],
+    )
+    def test_extend_edge_cases(self, rows):
+        self.check_extend(rows)
+
+    @given(st.lists(extend_cases(), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_extend_property(self, rows):
+        self.check_extend(rows)
+
+    def test_gather_zero_width_source(self):
+        from repro.align.kernels import BAND_ABSENT
+
+        data = np.zeros((2, 0), dtype=np.int64)
+        for shift in (-1, 0, 1):
+            self.check_gather(
+                data,
+                np.array([BAND_ABSENT, 3], dtype=np.int64),
+                np.array([-BAND_ABSENT, 2], dtype=np.int64),
+                np.array([0, 3], dtype=np.int64),
+                4,
+                shift,
+            )
+
+    @given(gather_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_gather_property(self, case):
+        self.check_gather(*case)

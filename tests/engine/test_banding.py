@@ -146,6 +146,41 @@ class _FailBandedScalar(WfaAligner):
         return result
 
 
+def _inflate(peak: int, pattern: str) -> int:
+    """A banded peak above the exact one for odd-length patterns only."""
+    return peak * 1000 + 1 if len(pattern) % 2 else peak
+
+
+class _InflatedDeadBandBatched(_FailBandedBatched):
+    """Dead bands whose runs report a large peak for half the pairs."""
+
+    def align_batch(self, pairs):
+        results = super().align_batch(pairs)
+        if self.band_width is None:
+            return results
+        return [
+            dc_replace(
+                r,
+                work=dc_replace(
+                    r.work,
+                    peak_wavefront_bytes=_inflate(r.work.peak_wavefront_bytes, a),
+                ),
+            )
+            for r, (a, _) in zip(results, pairs)
+        ]
+
+
+class _InflatedDeadBandScalar(_FailBandedScalar):
+    def align(self, a, b):
+        result = super().align(a, b)
+        if self.band_width is None:
+            return result
+        peak = _inflate(result.work.peak_wavefront_bytes, a)
+        return dc_replace(
+            result, work=dc_replace(result.work, peak_wavefront_bytes=peak)
+        )
+
+
 class TestBandFallback:
     """Every pair's band dies -> every pair is re-aligned exact."""
 
@@ -178,6 +213,40 @@ class TestBandFallback:
         assert banded.report.as_dict()["band_fallbacks"] == len(pairs)
         counter = _fresh_registry.counter("engine_band_fallbacks_total")
         assert counter.value({"backend": backend}) == len(pairs)
+
+    def test_fallback_peak_is_max_of_banded_and_exact(self, monkeypatch):
+        """Both backends charge a retried pair its larger peak."""
+        pairs = _workload(5, count=10)
+        peaks = {}
+        for backend, patch_name, fail_cls in (
+            ("batched", "BatchedWfaAligner", _InflatedDeadBandBatched),
+            ("scalar", "WfaAligner", _InflatedDeadBandScalar),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(backends_mod, patch_name, fail_cls)
+                res = align_pairs(
+                    pairs, backend=backend, backtrace=True, cache_size=0,
+                    band_width=32,
+                )
+            assert res.report.band_fallbacks == len(pairs)
+            peaks[backend] = res.report.peak_wavefront_bytes
+        banded = [
+            _inflate(
+                WfaAligner(DEFAULT_PENALTIES, band_width=32)
+                .align(a, b).work.peak_wavefront_bytes,
+                a,
+            )
+            for a, b in pairs
+        ]
+        exact = [
+            WfaAligner(DEFAULT_PENALTIES).align(a, b).work.peak_wavefront_bytes
+            for a, b in pairs
+        ]
+        # The fixture makes the banded peak win for some pairs only.
+        assert any(bp > ep for bp, ep in zip(banded, exact))
+        assert any(bp < ep for bp, ep in zip(banded, exact))
+        expected = sum(map(max, banded, exact))
+        assert peaks["batched"] == peaks["scalar"] == expected
 
     def test_no_fallbacks_without_banding(self, _fresh_registry):
         pairs = _workload(6, count=6)
