@@ -54,7 +54,7 @@ def _measure_chunk(name: str, pairs, *, backtrace: bool = False,
     outcomes = None
     for _ in range(repeats):
         start = time.perf_counter()
-        outcomes = backend.align_chunk(items, DEFAULT_PENALTIES, backtrace)
+        outcomes, _ = backend.align_chunk(items, DEFAULT_PENALTIES, backtrace)
         best = min(best, time.perf_counter() - start)
     scores = [o.score for o in sorted(outcomes, key=lambda o: o.slot)]
     return best, scores

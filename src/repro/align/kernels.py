@@ -164,15 +164,20 @@ def _lowest_bit_exponent(diff: np.ndarray) -> np.ndarray:
     return np.frexp((diff & (~diff + _ONE)).astype(np.float64))[1]
 
 
-def pad_sequence(seq: str, *, sentinel: int, block: int = 16) -> np.ndarray:
-    """Sequence bytes followed by ``block`` sentinel bytes.
+#: Sentinel bytes after every padded sequence: one 16-base comparator
+#: block, which also covers the 8-byte word read at the sequence end.
+SENTINEL_PAD = 16
+
+
+def pad_sequence(seq: str, *, sentinel: int) -> np.ndarray:
+    """Sequence bytes followed by :data:`SENTINEL_PAD` sentinel bytes.
 
     The sentinel guarantees that comparisons past the sequence end fail,
     so the vectorised comparator needs no per-row bounds checks (use
     *different* sentinels for the two sequences).
     """
     raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-    return np.concatenate([raw, np.full(block, sentinel, dtype=np.uint8)])
+    return np.concatenate([raw, np.full(SENTINEL_PAD, sentinel, dtype=np.uint8)])
 
 
 def sequence_words(seq: str, *, sentinel: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .kernels import pad_sequence
+from .kernels import SENTINEL_PAD, pad_sequence
 
 __all__ = ["PackCache", "pack_rows", "pack_batch"]
 
@@ -35,11 +35,10 @@ class PackCache:
     profiling counters.
     """
 
-    def __init__(self, capacity: int = 8192, *, block: int = 16) -> None:
+    def __init__(self, capacity: int = 8192) -> None:
         if capacity < 0:
             raise ValueError("pack cache capacity must be >= 0")
         self.capacity = capacity
-        self.block = block
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
@@ -56,7 +55,7 @@ class PackCache:
             self.hits += 1
             return row
         self.misses += 1
-        row = pad_sequence(seq, sentinel=sentinel, block=self.block)
+        row = pad_sequence(seq, sentinel=sentinel)
         row.flags.writeable = False
         if self.capacity:
             self._store[key] = row
@@ -70,33 +69,25 @@ class PackCache:
 
 
 def pack_rows(
-    seqs: list[str],
-    *,
-    sentinel: int,
-    block: int = 16,
-    cache: PackCache | None = None,
+    seqs: list[str], *, sentinel: int, cache: PackCache | None = None
 ) -> list[np.ndarray]:
     """One padded row per sequence, through the cache when given."""
     if cache is not None:
         return [cache.row(seq, sentinel) for seq in seqs]
-    return [pad_sequence(seq, sentinel=sentinel, block=block) for seq in seqs]
+    return [pad_sequence(seq, sentinel=sentinel) for seq in seqs]
 
 
 def pack_batch(
-    seqs: list[str],
-    *,
-    sentinel: int,
-    block: int = 16,
-    cache: PackCache | None = None,
+    seqs: list[str], *, sentinel: int, cache: PackCache | None = None
 ) -> np.ndarray:
-    """Stack sequences into a ``(len(seqs), max_len + block)`` matrix.
+    """Stack sequences into a ``(len(seqs), max_len + SENTINEL_PAD)`` matrix.
 
     Every row is the sequence followed by sentinel bytes out to the
     common width, so row ``r`` is exactly what the 1D kernels would see
-    for sequence ``r`` (same sentinel guarantee, same block padding).
+    for sequence ``r`` (same sentinel guarantee, same padding).
     """
-    rows = pack_rows(seqs, sentinel=sentinel, block=block, cache=cache)
-    width = max((len(row) for row in rows), default=block)
+    rows = pack_rows(seqs, sentinel=sentinel, cache=cache)
+    width = max((len(row) for row in rows), default=SENTINEL_PAD)
     out = np.full((len(seqs), width), sentinel, dtype=np.uint8)
     for r, row in enumerate(rows):
         out[r, : len(row)] = row

@@ -5,10 +5,13 @@ package scales at the system level: a batch of sequence pairs is
 resolved against an LRU result cache, duplicates are coalesced, and the
 remainder is sharded in chunks across a ``multiprocessing`` worker pool
 running any registered backend (software WFA — scalar, vectorized, or
-cross-pair ``batched`` — the SWG oracle, or the cycle-accurate
-``wfasic`` simulator).  Each parallel chunk is pickled to a worker
-and its outcomes are pickled back.  Every batch report carries per-stage
-profiling counters (pack/compute/extend/backtrace from the backend,
+cross-pair ``batched``, three instances of one backend class — the SWG
+oracle, or the cycle-accurate ``wfasic`` simulator).  Every backend
+has one method, ``align_chunk(items, penalties, backtrace, band_width)
+-> (outcomes, profile | None)``, and every engine path calls it.  Each
+parallel chunk is pickled to a worker and its outcomes are pickled
+back.  Every batch report carries per-stage profiling counters
+(pack/compute/extend/backtrace from the backend,
 resolve/dispatch/execute/ipc/gather from the engine); the CLI prints
 them with ``repro-wfasic batch --profile``.
 

@@ -1,19 +1,31 @@
 """Pluggable alignment backends for the batch engine.
 
 A *backend* turns a chunk of ``(slot, pattern, text)`` items into
-:class:`PairOutcome` records.  Backends are addressed **by name** so that
-only plain strings and dataclasses ever cross a process boundary — the
-worker side of the engine looks the backend up again in its own process
-(see :mod:`repro.engine.engine`).
+:class:`PairOutcome` records through its one method,
+``align_chunk(items, penalties, backtrace, band_width=None) ->
+(outcomes, profile | None)``.  Backends are addressed **by name** so
+that only plain strings and dataclasses ever cross a process boundary —
+the worker side of the engine looks the backend up again in its own
+process (see :mod:`repro.engine.engine`).
 
-Five backends ship with the repository:
+Five backends ship with the repository.  Three are software WFAs, each
+an instance of :class:`SoftwareWfaBackend` that owns the chunk loop,
+the band-then-exact retry and the ``band_fallbacks`` /
+``peak_wavefront_bytes`` counters; they differ only in how they build
+an aligner and run pairs through it:
 
 * ``scalar`` — the readable reference WFA (:class:`repro.align.WfaAligner`),
+  pair by pair, banded on request,
 * ``vectorized`` — the numpy whole-wavefront WFA (the RVV-code analog),
+  pair by pair, with no band and no peak-memory counter,
 * ``batched`` — the cross-pair batched WFA
   (:class:`repro.align.BatchedWfaAligner`): the whole chunk advances in
   lockstep through shared 2D kernels, with a per-process pack cache so
-  repeated sequences skip string->uint8 packing,
+  repeated sequences skip string->uint8 packing, and its stage profile
+  (pack/compute/extend/backtrace) returned with the chunk.
+
+The other two:
+
 * ``swg`` — the :func:`repro.align.swg_align` DP oracle (Eq. 2),
 * ``wfasic`` — the cycle-accurate accelerator simulator: the chunk is
   encoded as a §4.2 input image, run through
@@ -21,28 +33,27 @@ Five backends ship with the repository:
   CIGARs recovered by the CPU backtrace over the §4.4 result stream.
 
 New backends register through :func:`register_backend`; that is the
-extension point later multi-backend/sharding PRs build on.  Backends
-that want per-stage profiling override :meth:`align_chunk_profiled`;
-the engine always calls that entry point and merges the returned stage
-counters into the batch report.
+extension point.  A backend returns a profile (or ``None``) with every
+chunk; the engine merges it into the batch report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..align.packing import PackCache
 from ..align.penalties import AffinePenalties
 from ..align.profile import StageProfiler
-from ..align.swg import swg_align
-from ..align.wfa import WfaAligner
+from ..align.swg import SwgResult, swg_align
+from ..align.wfa import WfaAligner, WfaResult
 from ..align.wfa_batched import BatchedWfaAligner
 from ..align.wfa_vectorized import VectorizedWfaAligner
 
 __all__ = [
     "PairOutcome",
     "AlignmentBackend",
+    "SoftwareWfaBackend",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -115,8 +126,9 @@ class AlignmentBackend:
 
     name: str = "?"
     #: Whether this backend understands adaptive wavefront banding: the
-    #: engine passes ``band_width`` to :meth:`align_chunk_profiled` (and
-    #: relies on its exact-fallback contract) only when this is ``True``.
+    #: engine passes a ``band_width`` other than ``None`` (and relies on
+    #: the exact-fallback contract of :meth:`align_chunk`) only when this
+    #: is ``True``.
     supports_band: bool = False
 
     def align_chunk(
@@ -124,190 +136,97 @@ class AlignmentBackend:
         items: Sequence[PairItem],
         penalties: AffinePenalties,
         backtrace: bool,
-    ) -> list[PairOutcome]:
+        band_width: int | None = None,
+    ) -> tuple[list[PairOutcome], dict | None]:
         """Align one chunk of ``(slot, pattern, text)`` work items.
 
-        Returns one :class:`PairOutcome` per item (any order); the
-        engine maps outcomes back to input positions via ``slot``.
-        """
-        raise NotImplementedError
-
-    def align_chunk_profiled(
-        self,
-        items: Sequence[PairItem],
-        penalties: AffinePenalties,
-        backtrace: bool,
-    ) -> tuple[list[PairOutcome], dict | None]:
-        """Chunk outcomes plus optional per-stage profile counters.
-
-        The engine always dispatches through this method; the default
-        wraps :meth:`align_chunk` with no profile.  Backends with an
-        instrumented hot path (``batched``) override it to return their
-        :meth:`repro.align.StageProfiler.as_dict` payload.  Backends
-        declaring ``supports_band`` additionally accept a ``band_width``
-        keyword and must retry any pair whose banded run came back
+        Returns one :class:`PairOutcome` per item (any order; the engine
+        maps outcomes back to input positions via ``slot``) plus an
+        optional per-stage profile (:meth:`repro.align.StageProfiler.as_dict`)
+        that the engine merges into its report.  A band-capable backend
+        must retry any pair whose banded run came back
         ``reached_end=False`` with an exact aligner, so a dead band
         degrades to exact alignment instead of a failed pair.
         """
-        return self.align_chunk(items, penalties, backtrace), None
+        raise NotImplementedError
 
 
-class _SoftwareWfaBackend(AlignmentBackend):
-    """Shared chunk loop for the two software WFA engines."""
+def _outcome(slot: int, res: WfaResult | SwgResult, backtrace: bool) -> PairOutcome:
+    """The outcome of one aligner result."""
+    # ``res.cigar`` may be the (falsy) empty CIGAR of an empty-vs-empty
+    # alignment: still a valid answer, kept as "".
+    cigar = res.cigar.compact() if backtrace and res.cigar is not None else None
+    return PairOutcome(slot=slot, score=res.score, cigar=cigar)
 
-    aligner_cls: type
+
+#: Aligns a list of ``(pattern, text)`` pairs, one result per pair in order.
+PairRunner = Callable[[list[tuple[str, str]]], list[WfaResult]]
+#: Builds a runner from ``(penalties, backtrace, band_width, profiler)``.
+RunnerBuilder = Callable[
+    [AffinePenalties, bool, "int | None", StageProfiler], PairRunner
+]
+
+
+class SoftwareWfaBackend(AlignmentBackend):
+    """A software WFA aligner behind the chunk contract.
+
+    The software WFAs differ only in how they build an aligner and run a
+    list of pairs through it: ``build(penalties, backtrace, band_width,
+    profiler)`` returns that :data:`PairRunner`.  Everything else is
+    written once, here.  Under ``band_width`` the chunk first runs
+    banded; pairs whose band died (``reached_end=False``) are re-run
+    through an exact runner, so a collapsed band degrades to exact
+    alignment instead of a failed pair.  The profile carries
+    ``band_fallbacks`` (retried pairs, banded runs only) and
+    ``peak_wavefront_bytes`` (summed per-pair peak stored wavefront
+    bytes) as pure counters; a retried pair is charged the larger of its
+    banded and exact peaks.
+    """
+
+    def __init__(
+        self, name: str, build: RunnerBuilder, *, supports_band: bool
+    ) -> None:
+        self.name = name
+        self.build = build
+        self.supports_band = supports_band
 
     def align_chunk(
         self,
         items: Sequence[PairItem],
         penalties: AffinePenalties,
         backtrace: bool,
-    ) -> list[PairOutcome]:
-        aligner = self.aligner_cls(penalties, keep_backtrace=backtrace)
-        out: list[PairOutcome] = []
-        for slot, pattern, text in items:
-            res = aligner.align(pattern, text)
-            # ``res.cigar`` may be the (falsy) empty CIGAR of an
-            # empty-vs-empty alignment: still a valid answer, kept as "".
-            cigar = res.cigar.compact() if backtrace and res.cigar is not None else None
-            out.append(PairOutcome(slot=slot, score=res.score, cigar=cigar))
-        return out
-
-
-class ScalarWfaBackend(_SoftwareWfaBackend):
-    name = "scalar"
-    aligner_cls = WfaAligner
-    supports_band = True
-
-    def align_chunk_profiled(
-        self,
-        items: Sequence[PairItem],
-        penalties: AffinePenalties,
-        backtrace: bool,
         band_width: int | None = None,
     ) -> tuple[list[PairOutcome], dict | None]:
-        """Chunk loop with optional adaptive banding + exact fallback."""
-        if band_width is None:
-            return super().align_chunk_profiled(items, penalties, backtrace)
         profiler = StageProfiler()
-        banded = WfaAligner(
-            penalties, keep_backtrace=backtrace, band_width=band_width
-        )
-        exact = WfaAligner(penalties, keep_backtrace=backtrace)
-        out: list[PairOutcome] = []
-        fallbacks = 0
-        peak_bytes = 0
-        for slot, pattern, text in items:
-            res = banded.align(pattern, text)
-            pair_peak = res.work.peak_wavefront_bytes
-            if not res.reached_end:
-                fallbacks += 1
-                res = exact.align(pattern, text)
-                pair_peak = max(pair_peak, res.work.peak_wavefront_bytes)
-            peak_bytes += pair_peak
-            cigar = (
-                res.cigar.compact()
-                if backtrace and res.cigar is not None
-                else None
-            )
-            out.append(PairOutcome(slot=slot, score=res.score, cigar=cigar))
-        profiler.count("band_fallbacks", fallbacks)
-        profiler.count("peak_wavefront_bytes", peak_bytes)
-        return out, profiler.as_dict()
+        pairs = [(pattern, text) for _, pattern, text in items]
+        results = self.build(penalties, backtrace, band_width, profiler)(pairs)
+        peaks = [res.work.peak_wavefront_bytes for res in results]
+        if band_width is not None:
+            failed = [i for i, res in enumerate(results) if not res.reached_end]
+            if failed:
+                exact = self.build(penalties, backtrace, None, profiler)
+                for i, res in zip(failed, exact([pairs[i] for i in failed])):
+                    results[i] = res
+                    peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
+            profiler.count("band_fallbacks", len(failed))
+        # ``vectorized`` does not track the peak (it reports 0): leave the
+        # counter out rather than publish a zero.
+        if any(peaks):
+            profiler.count("peak_wavefront_bytes", sum(peaks))
+        outcomes = [
+            _outcome(slot, res, backtrace)
+            for (slot, _, _), res in zip(items, results)
+        ]
+        return outcomes, profiler.as_dict()
 
 
-class VectorizedWfaBackend(_SoftwareWfaBackend):
-    name = "vectorized"
-    aligner_cls = VectorizedWfaAligner
+def _pairwise(aligner: WfaAligner | VectorizedWfaAligner) -> PairRunner:
+    return lambda pairs: [aligner.align(a, b) for a, b in pairs]
 
 
 #: Per-process padded-row cache shared by every batched chunk this worker
 #: runs: the serving mix repeats sequences, so later chunks skip packing.
 _PACK_CACHE = PackCache(capacity=8192)
-
-
-class BatchedWfaBackend(AlignmentBackend):
-    """Cross-pair batched WFA: the whole chunk advances in lockstep.
-
-    Where the other software backends loop pair-at-a-time inside a
-    chunk, this backend hands the chunk to
-    :class:`repro.align.BatchedWfaAligner` as one 2D batch, so every
-    score step costs one ``compute``/``extend`` kernel call for *all*
-    pairs.  Sequences are pre-packed through a process-wide
-    :class:`repro.align.PackCache` (repeated pairs skip packing), and
-    the aligner's stage profiler is returned with the chunk so the
-    engine can attribute pack/compute/extend/backtrace time.
-    """
-
-    name = "batched"
-    supports_band = True
-
-    def align_chunk(
-        self,
-        items: Sequence[PairItem],
-        penalties: AffinePenalties,
-        backtrace: bool,
-    ) -> list[PairOutcome]:
-        return self.align_chunk_profiled(items, penalties, backtrace)[0]
-
-    def align_chunk_profiled(
-        self,
-        items: Sequence[PairItem],
-        penalties: AffinePenalties,
-        backtrace: bool,
-        band_width: int | None = None,
-    ) -> tuple[list[PairOutcome], dict | None]:
-        """One lockstep batch, banded when asked, with exact retry.
-
-        Under ``band_width`` the chunk first runs banded; pairs whose
-        band died (``reached_end=False``) are re-batched through an
-        exact aligner, so a collapsed band degrades to exact alignment
-        instead of a failed pair.  The profile carries
-        ``band_fallbacks`` (retried pairs) and ``peak_wavefront_bytes``
-        (summed per-pair peak stored wavefront bytes) as pure counters;
-        a retried pair is charged the larger of its banded and exact
-        peaks, as :class:`ScalarWfaBackend` charges it.
-        """
-        profiler = StageProfiler()
-        aligner = BatchedWfaAligner(
-            penalties,
-            keep_backtrace=backtrace,
-            pack_cache=_PACK_CACHE,
-            profiler=profiler,
-            band_width=band_width,
-        )
-        batch_pairs = [(pattern, text) for _, pattern, text in items]
-        results = aligner.align_batch(batch_pairs)
-        peaks = [r.work.peak_wavefront_bytes for r in results]
-        if band_width is not None:
-            failed = [i for i, r in enumerate(results) if not r.reached_end]
-            if failed:
-                exact = BatchedWfaAligner(
-                    penalties,
-                    keep_backtrace=backtrace,
-                    pack_cache=_PACK_CACHE,
-                    profiler=profiler,
-                )
-                for i, res in zip(
-                    failed, exact.align_batch([batch_pairs[i] for i in failed])
-                ):
-                    results[i] = res
-                    peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
-            profiler.count("band_fallbacks", len(failed))
-        profiler.count("peak_wavefront_bytes", sum(peaks))
-        outcomes = [
-            PairOutcome(
-                slot=slot,
-                score=res.score,
-                cigar=(
-                    res.cigar.compact()
-                    if backtrace and res.cigar is not None
-                    else None
-                ),
-            )
-            for (slot, _, _), res in zip(items, results)
-        ]
-        return outcomes, profiler.as_dict()
 
 
 class SwgBackend(AlignmentBackend):
@@ -320,13 +239,13 @@ class SwgBackend(AlignmentBackend):
         items: Sequence[PairItem],
         penalties: AffinePenalties,
         backtrace: bool,
-    ) -> list[PairOutcome]:
-        out: list[PairOutcome] = []
-        for slot, pattern, text in items:
-            res = swg_align(pattern, text, penalties)
-            cigar = res.cigar.compact() if backtrace and res.cigar is not None else None
-            out.append(PairOutcome(slot=slot, score=res.score, cigar=cigar))
-        return out
+        band_width: int | None = None,
+    ) -> tuple[list[PairOutcome], dict | None]:
+        outcomes = [
+            _outcome(slot, swg_align(pattern, text, penalties), backtrace)
+            for slot, pattern, text in items
+        ]
+        return outcomes, None
 
 
 class WfasicBackend(AlignmentBackend):
@@ -345,7 +264,8 @@ class WfasicBackend(AlignmentBackend):
         items: Sequence[PairItem],
         penalties: AffinePenalties,
         backtrace: bool,
-    ) -> list[PairOutcome]:
+        band_width: int | None = None,
+    ) -> tuple[list[PairOutcome], dict | None]:
         # Imported lazily to keep the software backends import-light.
         from ..obs.publish import publish_accelerator_batch
         from ..obs.trace import get_tracer
@@ -392,7 +312,7 @@ class WfasicBackend(AlignmentBackend):
                     cigars[res.alignment_id] = res.cigar.compact()
                     scores[res.alignment_id] = res.score
                 success[res.alignment_id] = res.success
-        return [
+        outcomes = [
             PairOutcome(
                 slot=slots[local],
                 score=scores[local] if success[local] else 0,
@@ -401,6 +321,7 @@ class WfasicBackend(AlignmentBackend):
             )
             for local in range(len(pairs))
         ]
+        return outcomes, None
 
 
 _BACKENDS: dict[str, AlignmentBackend] = {}
@@ -429,9 +350,35 @@ def backend_names() -> list[str]:
 
 
 for _backend in (
-    ScalarWfaBackend(),
-    VectorizedWfaBackend(),
-    BatchedWfaBackend(),
+    # The readable reference WFA, pair by pair.
+    SoftwareWfaBackend(
+        "scalar",
+        lambda penalties, backtrace, band, _profiler: _pairwise(
+            WfaAligner(penalties, keep_backtrace=backtrace, band_width=band)
+        ),
+        supports_band=True,
+    ),
+    # The numpy whole-wavefront WFA, pair by pair; it has no band.
+    SoftwareWfaBackend(
+        "vectorized",
+        lambda penalties, backtrace, _band, _profiler: _pairwise(
+            VectorizedWfaAligner(penalties, keep_backtrace=backtrace)
+        ),
+        supports_band=False,
+    ),
+    # The whole chunk in lockstep through the shared pack cache; the
+    # aligner's pack/compute/extend/backtrace profile rides back with it.
+    SoftwareWfaBackend(
+        "batched",
+        lambda penalties, backtrace, band, profiler: BatchedWfaAligner(
+            penalties,
+            keep_backtrace=backtrace,
+            pack_cache=_PACK_CACHE,
+            profiler=profiler,
+            band_width=band,
+        ).align_batch,
+        supports_band=True,
+    ),
     SwgBackend(),
     WfasicBackend(),
 ):

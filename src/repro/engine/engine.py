@@ -39,7 +39,7 @@ import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..align.penalties import AffinePenalties, DEFAULT_PENALTIES
 from ..align.profile import StageProfiler, format_profile
@@ -325,16 +325,20 @@ def _run_items_isolated(
     items: list[PairItem],
     penalties: AffinePenalties,
     backtrace: bool,
+    band_width: int | None,
 ) -> list[PairOutcome]:
     """Re-run a poisoned chunk pair-at-a-time, trapping each failure.
 
     One bad pair yields one errored outcome; every other pair of the
-    chunk still gets its real result (the fault-isolation invariant).
+    chunk still gets its real result (the fault-isolation invariant),
+    under the chunk's own band.
     """
     outcomes: list[PairOutcome] = []
     for item in items:
         try:
-            outcomes.extend(backend.align_chunk([item], penalties, backtrace))
+            outcomes.extend(
+                backend.align_chunk([item], penalties, backtrace, band_width)[0]
+            )
         except Exception as exc:  # noqa: BLE001 — the isolation boundary
             outcomes.append(
                 PairOutcome.error(
@@ -362,17 +366,16 @@ def _run_chunk(payload: ChunkPayload) -> ChunkResult:
     backend_name, penalties, backtrace, strict, band_width, items = payload
     start = time.perf_counter()
     backend = get_backend(backend_name)
-    # The kwarg is only passed when banding is on, so backends with the
-    # plain three-argument signature keep working unbanded.
-    band_kwargs = {} if band_width is None else {"band_width": band_width}
     try:
-        outcomes, profile = backend.align_chunk_profiled(
-            items, penalties, backtrace, **band_kwargs
+        outcomes, profile = backend.align_chunk(
+            items, penalties, backtrace, band_width
         )
     except Exception:
         if strict:
             raise
-        outcomes = _run_items_isolated(backend, items, penalties, backtrace)
+        outcomes = _run_items_isolated(
+            backend, items, penalties, backtrace, band_width
+        )
         profile = None
     return os.getpid(), start, time.perf_counter() - start, outcomes, profile
 
@@ -750,48 +753,24 @@ class BatchAlignmentEngine:
         Running the chunk in the engine process instead would risk the
         engine itself on exactly the input that already killed a worker.
         """
-        backend_name, penalties, backtrace, strict, band_width, items = payload
         start = time.perf_counter()
         outcomes = [
             _run_item_quarantined(
-                (backend_name, penalties, backtrace, strict, band_width, [item]),
-                self.config.chunk_timeout,
+                (*payload[:-1], [item]), self.config.chunk_timeout
             )
-            for item in items
+            for item in payload[-1]
         ]
         return os.getpid(), start, time.perf_counter() - start, outcomes, None
 
 
 def align_pairs(
-    pairs: Sequence[SequencePair | tuple[str, str]],
-    *,
-    backend: str = "vectorized",
-    workers: int = 1,
-    backtrace: bool = False,
-    penalties: AffinePenalties = DEFAULT_PENALTIES,
-    chunk_size: int = 16,
-    cache_size: int = 4096,
-    strict: bool = False,
-    max_read_len: int | None = None,
-    chunk_timeout: float | None = 300.0,
-    max_chunk_retries: int = 1,
-    band_width: int | None = None,
+    pairs: Sequence[SequencePair | tuple[str, str]], **options: Any
 ) -> EngineResult:
-    """One-shot convenience wrapper around :class:`BatchAlignmentEngine`."""
-    config = EngineConfig(
-        backend=backend,
-        workers=workers,
-        chunk_size=chunk_size,
-        penalties=penalties,
-        backtrace=backtrace,
-        cache_size=cache_size,
-        strict=strict,
-        max_read_len=max_read_len,
-        chunk_timeout=chunk_timeout,
-        max_chunk_retries=max_chunk_retries,
-        band_width=band_width,
-    )
-    with BatchAlignmentEngine(config) as engine:
+    """One-shot convenience wrapper around :class:`BatchAlignmentEngine`.
+
+    ``options`` are :class:`EngineConfig` fields, with its defaults.
+    """
+    with BatchAlignmentEngine(EngineConfig(**options)) as engine:
         return engine.align_batch(pairs)
 
 

@@ -39,7 +39,6 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from contextlib import suppress
 from typing import Any, Sequence
 
 from ..engine.engine import BatchAlignmentEngine, BatchReport, merge_batch_reports
@@ -149,7 +148,7 @@ class MicroBatcher:
         #: Engine instances behind the shared queue; at most one batch
         #: is in flight per engine at any moment.
         self.engines: list[BatchAlignmentEngine] = engines
-        #: The first engine — the whole pool on the single-instance path.
+        #: The first engine — the only one when ``instances`` is 1.
         self.engine = engines[0]
         self.config = config or ServeConfig()
         self._registry = registry
@@ -262,36 +261,18 @@ class MicroBatcher:
     # -- batching ------------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        if len(self.engines) > 1:
-            await self._run_multi(loop)
-            return
-        while True:
-            if not self._queue:
-                if self._draining:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await self._fill_window(loop)
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(len(self._queue), self.config.max_batch))
-            ]
-            await self._dispatch(loop, batch)
+        """The batcher loop: at most one in-flight batch per engine.
 
-    async def _run_multi(self, loop: asyncio.AbstractEventLoop) -> None:
-        """The multi-instance loop: one in-flight batch per engine.
-
-        The single-engine loop above awaits each dispatch inline; here a
-        formed batch goes to any idle engine as its own task and the
-        loop immediately returns to batch formation, so up to
+        A formed batch goes to the first idle engine as its own task and
+        the loop returns to batch formation, so up to
         ``len(self.engines)`` batches overlap.  With every engine busy
-        the loop blocks on the first completion — queue-depth
-        backpressure then works exactly as before.  Drain waits for all
-        in-flight tasks, so the graceful-drain contract (every admitted
-        request gets a real answer) is unchanged.
+        the loop waits for a completion before it opens the next batch
+        window, so with one engine dispatch is strictly sequential and
+        queue-depth backpressure works the same at any pool size.  Drain
+        waits for every in-flight task (the graceful-drain contract:
+        every admitted request gets a real answer).
         """
+        loop = asyncio.get_running_loop()
         inflight: dict[int, "asyncio.Task[None]"] = {}
         try:
             while True:
@@ -299,41 +280,30 @@ class MicroBatcher:
                     if task.done():
                         del inflight[idx]
                         task.result()
-                if not self._queue:
-                    if self._draining:
-                        return
-                    self._wake.clear()
-                    if inflight:
-                        wake = loop.create_task(self._wake.wait())
-                        await asyncio.wait(
-                            {wake, *inflight.values()},
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                        wake.cancel()
-                        with suppress(asyncio.CancelledError):
-                            await wake
-                    else:
-                        await self._wake.wait()
-                    continue
                 idle = [
                     i for i in range(len(self.engines)) if i not in inflight
                 ]
-                if not idle:
-                    await asyncio.wait(
-                        set(inflight.values()),
-                        return_when=asyncio.FIRST_COMPLETED,
+                if self._queue and idle:
+                    await self._fill_window(loop)
+                    batch = [
+                        self._queue.popleft()
+                        for _ in range(
+                            min(len(self._queue), self.config.max_batch)
+                        )
+                    ]
+                    task = loop.create_task(
+                        self._dispatch(loop, batch, self.engines[idle[0]])
                     )
+                    # A finished batch frees its engine: wake the loop.
+                    task.add_done_callback(lambda _: self._wake.set())
+                    inflight[idle[0]] = task
                     continue
-                await self._fill_window(loop)
-                batch = [
-                    self._queue.popleft()
-                    for _ in range(
-                        min(len(self._queue), self.config.max_batch)
-                    )
-                ]
-                inflight[idle[0]] = loop.create_task(
-                    self._dispatch(loop, batch, engine=self.engines[idle[0]])
-                )
+                if not self._queue and self._draining:
+                    return
+                # Nothing queued, or no engine free: wait for a request
+                # or a finished batch, whichever comes first.
+                self._wake.clear()
+                await self._wake.wait()
         finally:
             if inflight:
                 await asyncio.gather(*inflight.values())
@@ -357,9 +327,8 @@ class MicroBatcher:
         self,
         loop: asyncio.AbstractEventLoop,
         batch: list[_Pending],
-        engine: BatchAlignmentEngine | None = None,
+        engine: BatchAlignmentEngine,
     ) -> None:
-        engine = engine or self.engine
         registry = self._registry or get_registry()
         tracer = get_tracer()
         start = time.perf_counter()

@@ -69,9 +69,7 @@ class AlignmentServer:
         self.host = host
         self.port = port
         self._registry = registry
-        self.engine: BatchAlignmentEngine | None = None
-        #: All engine instances (``serve_config.instances`` of them);
-        #: ``engine`` aliases the first for back-compatibility.
+        #: The engine instances (``serve_config.instances`` of them).
         self.engines: list[BatchAlignmentEngine] = []
         self.batcher: MicroBatcher | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -94,7 +92,6 @@ class AlignmentServer:
             BatchAlignmentEngine(self.engine_config)
             for _ in range(self.serve_config.instances)
         ]
-        self.engine = self.engines[0]
         self.batcher = MicroBatcher(
             self.engines, self.serve_config, registry=self._registry
         )

@@ -180,9 +180,13 @@ class Soc:
     ) -> CpuOutcome:
         """The software WFA [14] on the Sargantana core.
 
-        The algorithm really runs (via the vectorised engine, which is
-        work-count-identical to the scalar reference); the cycle total
-        comes from the calibrated cost model.
+        The algorithm really runs (via the vectorised engine); the cycle
+        total comes from the calibrated cost model.  The model reads
+        ``cells_computed``, ``extend_comparisons``, ``score_iterations``,
+        ``cells_allocated``, ``peak_wavefront_width``, ``extend_matches``
+        and ``wavefront_steps``, on which the vectorised engine matches
+        the scalar reference; it does not track ``peak_wavefront_bytes``
+        (reported as 0), which the model does not read.
         """
         engine = VectorizedWfaAligner(self.config.penalties, keep_backtrace=False)
         total_work = WfaWorkCounters()

@@ -33,8 +33,8 @@ class TestRegistry:
         class Fake(AlignmentBackend):
             name = "fake-for-test"
 
-            def align_chunk(self, items, penalties, backtrace):
-                return [PairOutcome(slot, 0) for slot, _, _ in items]
+            def align_chunk(self, items, penalties, backtrace, band_width=None):
+                return [PairOutcome(slot, 0) for slot, _, _ in items], None
 
         try:
             register_backend(Fake())
@@ -60,7 +60,7 @@ class TestBackendContracts:
         "name", ["scalar", "vectorized", "batched", "swg", "wfasic"]
     )
     def test_scores_match_oracle(self, name, chunk):
-        outcomes = get_backend(name).align_chunk(
+        outcomes, _ = get_backend(name).align_chunk(
             chunk, DEFAULT_PENALTIES, backtrace=False
         )
         assert [o.slot for o in outcomes] == [slot for slot, _, _ in chunk]
@@ -73,7 +73,7 @@ class TestBackendContracts:
         "name", ["scalar", "vectorized", "batched", "swg", "wfasic"]
     )
     def test_backtrace_cigars_valid(self, name, chunk):
-        outcomes = get_backend(name).align_chunk(
+        outcomes, _ = get_backend(name).align_chunk(
             chunk, DEFAULT_PENALTIES, backtrace=True
         )
         for (_, a, b), outcome in zip(chunk, outcomes):
@@ -96,7 +96,7 @@ class TestWfasicHardwareLimits:
         # The wfasic backend inherits the hardware MAX_READ_LEN: a read
         # past 10 kbp is rejected with success=False, not mis-scored.
         long_seq = "A" * 10_017
-        outcomes = get_backend("wfasic").align_chunk(
+        outcomes, _ = get_backend("wfasic").align_chunk(
             [(0, long_seq, long_seq)], DEFAULT_PENALTIES, backtrace=False
         )
         assert outcomes[0].success is False
@@ -109,7 +109,7 @@ class TestBatchedBackendSpecifics:
         items = [
             (slot, *random_pair(rng, 40, 0.1)) for slot in range(6)
         ]
-        outcomes, profile = get_backend("batched").align_chunk_profiled(
+        outcomes, profile = get_backend("batched").align_chunk(
             items, DEFAULT_PENALTIES, backtrace=True
         )
         assert [o.slot for o in outcomes] == list(range(6))
@@ -118,8 +118,8 @@ class TestBatchedBackendSpecifics:
             assert stage in profile
             assert profile[stage]["calls"] >= 1
 
-    def test_default_profiled_wrapper_has_no_profile(self):
-        outcomes, profile = get_backend("scalar").align_chunk_profiled(
+    def test_unprofiled_backend_returns_no_profile(self):
+        outcomes, profile = get_backend("swg").align_chunk(
             [(0, "ACGT", "ACGT")], DEFAULT_PENALTIES, backtrace=False
         )
         assert outcomes[0].score == 0

@@ -25,6 +25,7 @@ from repro.engine import (
 )
 from repro.engine import backends as backends_mod
 from repro.obs import MetricsRegistry, set_registry
+from repro.workloads import PairGenerator
 from tests.util import random_pair
 
 
@@ -109,18 +110,28 @@ class TestBandedOutcomes:
 
     def test_peak_wavefront_bytes_reported(self):
         pairs = _workload(4, count=8)
-        res = align_pairs(
-            pairs, backend="batched", cache_size=0, band_width=8
-        )
-        assert res.report.peak_wavefront_bytes > 0
-        assert (
-            res.report.as_dict()["peak_wavefront_bytes"]
-            == res.report.peak_wavefront_bytes
-        )
-        # The batched backend reports the counter unbanded too — the
-        # baseline rides the same channel the banded runs use.
-        exact = align_pairs(pairs, backend="batched", cache_size=0)
-        assert exact.report.peak_wavefront_bytes > res.report.peak_wavefront_bytes
+        peaks = {}
+        for backend in ("scalar", "batched"):
+            res = align_pairs(
+                pairs, backend=backend, cache_size=0, band_width=8
+            )
+            assert res.report.peak_wavefront_bytes > 0
+            assert (
+                res.report.as_dict()["peak_wavefront_bytes"]
+                == res.report.peak_wavefront_bytes
+            )
+            # Both backends report the counter unbanded too — the
+            # baseline rides the same channel the banded runs use.
+            exact = align_pairs(pairs, backend=backend, cache_size=0)
+            assert (
+                exact.report.peak_wavefront_bytes
+                > res.report.peak_wavefront_bytes
+            )
+            peaks[backend] = (
+                res.report.peak_wavefront_bytes,
+                exact.report.peak_wavefront_bytes,
+            )
+        assert peaks["scalar"] == peaks["batched"]
 
 
 class _FailBandedBatched(BatchedWfaAligner):
@@ -195,11 +206,6 @@ class TestBandFallback:
         self, monkeypatch, _fresh_registry, backend, patch_name, fail_cls
     ):
         monkeypatch.setattr(backends_mod, patch_name, fail_cls)
-        if backend == "scalar":
-            # The scalar backend's unbanded path goes through aligner_cls.
-            monkeypatch.setattr(
-                backends_mod.ScalarWfaBackend, "aligner_cls", fail_cls
-            )
         pairs = _workload(5, count=10)
         exact = align_pairs(pairs, backend=backend, backtrace=True, cache_size=0)
         banded = align_pairs(
@@ -295,6 +301,35 @@ class TestBandComposition:
             "batched", "ACGT", "ACGT", DEFAULT_PENALTIES, False, 8
         )
         assert k_exact != k_banded
+
+    def test_isolated_replay_keeps_the_band(self, monkeypatch):
+        """A poisoned chunk's pair-at-a-time replay still runs banded.
+
+        The aligner raises once asked for a second pair, so every
+        multi-pair chunk fails and each pair is replayed alone; the
+        replayed scores (some pessimistic at this band) must equal a
+        clean banded run's, not the exact ones.
+        """
+        pairs = PairGenerator(
+            length=300, error_rate=0.15, seed=5, max_text_length=330
+        ).batch(24)
+        clean = align_pairs(pairs, backend="scalar", cache_size=0, band_width=4)
+        exact = align_pairs(pairs, backend="scalar", cache_size=0)
+        assert clean.scores != exact.scores  # the band matters here
+
+        class OnePairAligner(WfaAligner):
+            def align(self, a, b):
+                if getattr(self, "used", False):
+                    raise RuntimeError("injected multi-pair chunk fault")
+                self.used = True
+                return super().align(a, b)
+
+        monkeypatch.setattr(backends_mod, "WfaAligner", OnePairAligner)
+        replayed = align_pairs(
+            pairs, backend="scalar", cache_size=0, band_width=4
+        )
+        assert replayed.report.errors == 0
+        assert replayed.scores == clean.scores
 
     def test_banded_cache_hits_are_stable(self):
         pairs = _workload(8, count=8)

@@ -114,13 +114,14 @@ class CountingBackend(AlignmentBackend):
         self.calls = 0
         self.pairs_aligned = 0
 
-    def align_chunk(self, items, penalties, backtrace):
+    def align_chunk(self, items, penalties, backtrace, band_width=None):
         self.calls += 1
         self.pairs_aligned += len(items)
-        return [
+        outcomes = [
             PairOutcome(slot, score=len(a) + len(b))
             for slot, a, b in items
         ]
+        return outcomes, None
 
 
 @pytest.fixture()

@@ -66,7 +66,7 @@ class FaultInjectionBackend(AlignmentBackend):
     def _in_worker(self) -> bool:
         return multiprocessing.parent_process() is not None
 
-    def align_chunk(self, items, penalties, backtrace):
+    def align_chunk(self, items, penalties, backtrace, band_width=None):
         out = []
         for slot, a, b in items:
             if a == POISON and self.mode != "none":
@@ -82,7 +82,7 @@ class FaultInjectionBackend(AlignmentBackend):
                 else:
                     raise RuntimeError(f"injected fault at slot {slot}")
             out.append(PairOutcome(slot, score=len(a) + len(b)))
-        return out
+        return out, None
 
 
 @pytest.fixture()

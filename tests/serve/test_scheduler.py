@@ -318,7 +318,47 @@ class TestMultiInstance:
         )
         assert report.num_pairs == 4
 
-    def test_singleton_pool_takes_the_single_engine_path(self):
+    @pytest.mark.parametrize("instances", [1, 2])
+    def test_engine_failure_answers_each_request_once(self, instances):
+        """A raising ``align_batch`` fans out one error per request.
+
+        The failed batch's requests each get exactly one
+        ``backend_error`` document, and the loop goes on to serve the
+        next batch.
+        """
+        failures = []
+
+        async def go(batcher, engines):
+            for engine in engines:
+
+                def flaky(pairs, *, _orig=engine.align_batch):
+                    if not failures:
+                        failures.append(len(pairs))
+                        raise RuntimeError("injected engine fault")
+                    return _orig(pairs)
+
+                engine.align_batch = flaky
+            failed = await asyncio.gather(
+                *(batcher.submit(request(i, p, t))
+                  for i, (p, t) in enumerate(PAIRS))
+            )
+            served = await batcher.submit(request(9))
+            return failed, served
+
+        failed, served = self.run_multi(
+            go,
+            ServeConfig(batch_window=0.05, max_batch=len(PAIRS)),
+            instances=instances,
+        )
+        assert failures == [len(PAIRS)]
+        assert [d["id"] for d in failed] == list(range(len(PAIRS)))
+        for doc in failed:
+            assert not doc["ok"]
+            assert doc["error_kind"] == "backend_error"
+            assert "injected engine fault" in doc["error_msg"]
+        assert served["ok"] and served["id"] == 9
+
+    def test_single_engine_pool_runs_the_same_loop(self):
         async def go(batcher, engines):
             assert batcher.engine is engines[0]
             return await batcher.submit(request(7))

@@ -350,13 +350,13 @@ class TestBatchErrorChannel:
         class Crashy(AlignmentBackend):
             name = "crashy"
 
-            def align_chunk(self, items, penalties, backtrace):
+            def align_chunk(self, items, penalties, backtrace, band_width=None):
                 out = []
                 for slot, a, b in items:
                     if a == poison:
                         raise RuntimeError("injected CLI fault")
                     out.append(PairOutcome(slot, score=0))
-                return out
+                return out, None
 
         register_backend(Crashy(), replace=True)
         yield
