@@ -137,10 +137,8 @@ def measurements() -> dict[str, SetMeasurement]:
     return lazy
 
 
-REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = RESULTS_DIR / "BENCH_pr2.json"
 BENCH_JSON_PR4 = RESULTS_DIR / "BENCH_pr4.json"
-BENCH_JSON_PR6 = RESULTS_DIR / "BENCH_pr6.json"
 BENCH_JSON_PR7 = RESULTS_DIR / "BENCH_pr7.json"
 BENCH_JSON_PR8 = RESULTS_DIR / "BENCH_pr8.json"
 BENCH_JSON_PR9 = RESULTS_DIR / "BENCH_pr9.json"
@@ -151,9 +149,7 @@ def _bench_recorder(path: Path):
 
     Each bench records a named section; sections from earlier runs are
     preserved so the fast and slow suites can fill the file piecemeal.
-    The canonical copy lives under ``benchmarks/results/`` and is
-    mirrored to the repository root after every write, so the root
-    ``BENCH_*.json`` files always hold the latest full document.
+    The file lives under ``benchmarks/results/``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     data: dict = {}
@@ -167,7 +163,6 @@ def _bench_recorder(path: Path):
         data[section] = payload
         doc = json.dumps(data, indent=2, sort_keys=True) + "\n"
         path.write_text(doc)
-        (REPO_ROOT / path.name).write_text(doc)
 
     return _record
 
@@ -182,12 +177,6 @@ def bench_json():
 def bench_json_pr4():
     """Merge machine-readable results into ``BENCH_pr4.json``."""
     return _bench_recorder(BENCH_JSON_PR4)
-
-
-@pytest.fixture(scope="session")
-def bench_json_pr6():
-    """Merge machine-readable results into ``BENCH_pr6.json``."""
-    return _bench_recorder(BENCH_JSON_PR6)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ The PR 9 acceptance measurements:
   of the rate its own verification fleet actually simulates.
 
 Results land machine-readably in ``benchmarks/results/BENCH_pr9.json``
-(mirrored to the repository root) via the ``bench_json_pr9`` fixture.
+via the ``bench_json_pr9`` fixture.
 """
 
 from __future__ import annotations

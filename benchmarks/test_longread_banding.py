@@ -9,7 +9,7 @@ the ``slow``-marked one pushes to 50 kbp at 1 % (the long-read smoke
 job in CI runs only the fast one).
 
 Results land machine-readably in ``benchmarks/results/BENCH_pr7.json``
-(mirrored to the repository root) via the ``bench_json_pr7`` fixture.
+via the ``bench_json_pr7`` fixture.
 """
 
 from __future__ import annotations

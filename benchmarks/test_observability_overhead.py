@@ -11,8 +11,8 @@ dict updates), while tracing is opt-in.  This bench measures both:
 * the standalone cost of one registry snapshot and one manifest
   validation, amortised per batch.
 
-Results go to ``BENCH_pr4.json`` (mirrored at the repository root) with
-a schema-validated run manifest written alongside, so this bench
+Results go to ``benchmarks/results/BENCH_pr4.json`` with a
+schema-validated run manifest written alongside, so this bench
 exercises the full artefact path it measures.
 """
 

@@ -66,7 +66,6 @@ from .engine import (
     merge_batch_reports,
 )
 from .fleet import (
-    FLEET_POLICIES,
     FleetBudget,
     FleetConfig,
     FleetScheduler,
@@ -391,12 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="pairs per routed micro-batch (batches are the unit of "
         "cross-chip overlap)",
-    )
-    flt.add_argument(
-        "--policy",
-        choices=FLEET_POLICIES,
-        default="least-loaded",
-        help="fleet routing policy",
     )
     flt.add_argument(
         "--max-chips",
@@ -994,7 +987,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
             input_set=args.named_set,
             num_pairs=args.num_pairs,
             batch_pairs=args.batch_pairs,
-            policy=args.policy,
         )
     except ValueError as exc:
         print(f"invalid sweep request: {exc}", file=sys.stderr)

@@ -252,9 +252,12 @@ class WfasicBackend(AlignmentBackend):
     """The accelerator simulator, one §4.2 batch image per chunk.
 
     Chunk-level batching mirrors the hardware: the whole chunk becomes
-    one input image and one accelerator run, so the Extractor/Collector
-    paths and the hardware limits (MAX_READ_LEN, Eq. 6 Score_max) all
-    apply.  Unsupported pairs come back with ``success=False``.
+    one input image and one accelerator run through the shared batch
+    flow, so the Extractor/Collector paths and the hardware limits
+    (MAX_READ_LEN, Eq. 6 Score_max) all apply.  Unsupported pairs come
+    back with ``success=False``.  The image skips SoC memory: one 10 kbp
+    pair at 10 % error streams ~9 MB of backtrace data, so a chunk of
+    them would overflow the SoC's 64 MB.
     """
 
     name = "wfasic"
@@ -269,57 +272,33 @@ class WfasicBackend(AlignmentBackend):
         # Imported lazily to keep the software backends import-light.
         from ..obs.publish import publish_accelerator_batch
         from ..obs.trace import get_tracer
-        from ..wfasic.accelerator import WfasicAccelerator
-        from ..wfasic.backtrace_cpu import CpuBacktracer
+        from ..wfasic.accelerator import WfasicAccelerator, batch_answers
         from ..wfasic.config import WfasicConfig
-        from ..wfasic.packets import encode_input_image, round_up_read_len
         from ..workloads.generator import SequencePair
 
         cfg = WfasicConfig(penalties=penalties, backtrace=backtrace)
-        slots = [slot for slot, _, _ in items]
         pairs = [
             SequencePair(pattern=pattern, text=text, pair_id=local)
             for local, (_, pattern, text) in enumerate(items)
         ]
-        max_read_len = min(
-            round_up_read_len(max((p.max_length for p in pairs), default=1)),
-            cfg.max_read_len,
-        )
-        image = encode_input_image(pairs, max_read_len)
         tracer = get_tracer()
         base_us = tracer.now_us() if tracer is not None else None
-        batch = WfasicAccelerator(cfg).run_image(image, max_read_len)
+        batch = WfasicAccelerator(cfg).run_pairs(pairs)
         # Publish the simulated batch: per-stage cycle counters in the
         # registry, and (when tracing) the Extractor/Aligner/Collector
         # schedule mapped onto the cycle timeline, anchored where the
         # simulation began on the wall clock.
         publish_accelerator_batch(batch, base_us=base_us)
-
-        scores = {r.alignment_id: r.score for r in batch.runs}
-        success = {r.alignment_id: r.success for r in batch.runs}
-        cigars: dict[int, str | None] = {}
-        if backtrace:
-            sequences = {p.pair_id: (p.pattern, p.text) for p in pairs}
-            results, _ = CpuBacktracer(cfg).process(
-                batch.output.as_stream(),
-                sequences,
-                separate=cfg.num_aligners > 1,
-            )
-            for res in results:
-                if res.success and res.cigar is not None:
-                    # An empty alignment has an empty CIGAR; "" is the
-                    # valid answer, like the software backends.
-                    cigars[res.alignment_id] = res.cigar.compact()
-                    scores[res.alignment_id] = res.score
-                success[res.alignment_id] = res.success
+        answers = batch_answers(batch, pairs)
         outcomes = [
             PairOutcome(
-                slot=slots[local],
-                score=scores[local] if success[local] else 0,
-                success=success[local],
-                cigar=cigars.get(local),
+                slot=slot,
+                score=answers.scores[local],
+                success=answers.success[local],
+                # An empty alignment has the valid empty CIGAR "".
+                cigar=None if (cigar := answers.cigars[local]) is None else cigar.compact(),
             )
-            for local in range(len(pairs))
+            for local, (slot, _, _) in enumerate(items)
         ]
         return outcomes, None
 

@@ -84,7 +84,7 @@ class EngineConfig:
     ----------
     backend:
         Name of a registered backend (``scalar``, ``vectorized``,
-        ``swg``, ``wfasic``, or anything added via
+        ``batched``, ``swg``, ``wfasic``, or anything added via
         :func:`repro.engine.register_backend`).
     workers:
         Worker processes.  ``1`` (the default) runs everything
@@ -326,18 +326,20 @@ def _run_items_isolated(
     penalties: AffinePenalties,
     backtrace: bool,
     band_width: int | None,
-) -> list[PairOutcome]:
+) -> tuple[list[PairOutcome], dict | None]:
     """Re-run a poisoned chunk pair-at-a-time, trapping each failure.
 
     One bad pair yields one errored outcome; every other pair of the
     chunk still gets its real result (the fault-isolation invariant),
-    under the chunk's own band.
+    under the chunk's own band.  The replayed pairs' profiles are merged
+    into one, so their counters still reach the batch report.
     """
     outcomes: list[PairOutcome] = []
+    profiler = StageProfiler()
     for item in items:
         try:
-            outcomes.extend(
-                backend.align_chunk([item], penalties, backtrace, band_width)[0]
+            item_outcomes, profile = backend.align_chunk(
+                [item], penalties, backtrace, band_width
             )
         except Exception as exc:  # noqa: BLE001 — the isolation boundary
             outcomes.append(
@@ -345,7 +347,10 @@ def _run_items_isolated(
                     item[0], ERROR_BACKEND, f"{type(exc).__name__}: {exc}"
                 )
             )
-    return outcomes
+            continue
+        outcomes.extend(item_outcomes)
+        profiler.merge(profile)
+    return outcomes, profiler.as_dict() or None
 
 
 #: What comes back per chunk: worker OS pid, the ``perf_counter`` stamp
@@ -373,10 +378,9 @@ def _run_chunk(payload: ChunkPayload) -> ChunkResult:
     except Exception:
         if strict:
             raise
-        outcomes = _run_items_isolated(
+        outcomes, profile = _run_items_isolated(
             backend, items, penalties, backtrace, band_width
         )
-        profile = None
     return os.getpid(), start, time.perf_counter() - start, outcomes, profile
 
 

@@ -4,9 +4,8 @@ The paper evaluates one WFAsic instance on one RISC-V SoC; this package
 answers the questions a deployment asks next:
 
 * :class:`FleetScheduler` — N independently-configured simulated chips
-  behind one queue, batches routed by capability and simulated queue
-  depth (``least-loaded`` / ``round-robin``), results bit-identical to a
-  single chip's.
+  behind one queue, each batch routed to the least-loaded capable chip,
+  results bit-identical to a single chip's.
 * :func:`plan_capacity` / :func:`select_plan` — the capacity planner:
   invert the model ("X pairs/s within Y mm² and Z W → chip count +
   configuration"), verified by actually simulating the selected fleet.
@@ -35,7 +34,6 @@ from .planner import (
 )
 from .report import FLEET_SWEEP_SCHEMA, validate_fleet_sweep
 from .scheduler import (
-    FLEET_POLICIES,
     ChipStats,
     FleetConfig,
     FleetPairOutcome,
@@ -47,7 +45,6 @@ __all__ = [
     "CapacityPlan",
     "ChipStats",
     "DEFAULT_CHIP_MEMORY_BYTES",
-    "FLEET_POLICIES",
     "FLEET_SWEEP_SCHEMA",
     "FleetBudget",
     "FleetChip",

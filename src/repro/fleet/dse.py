@@ -37,7 +37,7 @@ from ..wfasic.asic_model import GF22_FREQUENCY_HZ, asic_report
 from ..wfasic.config import WfasicConfig
 from ..workloads.datasets import make_input_set
 from ..workloads.generator import SequencePair
-from .scheduler import FLEET_POLICIES, FleetConfig, FleetScheduler
+from .scheduler import FleetConfig, FleetScheduler
 
 __all__ = [
     "SweepGrid",
@@ -136,7 +136,6 @@ def run_sweep(
     input_set: str = "100-10%",
     num_pairs: int = 32,
     batch_pairs: int = 4,
-    policy: str = "least-loaded",
     pairs: list[SequencePair] | None = None,
 ) -> dict:
     """Simulate the whole grid; the schema-valid sweep artifact document.
@@ -151,8 +150,6 @@ def run_sweep(
     The returned document validates against
     :data:`repro.fleet.report.FLEET_SWEEP_SCHEMA`.
     """
-    if policy not in FLEET_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     grid = grid or SweepGrid()
     if pairs is None:
         pairs = make_input_set(input_set, num_pairs)
@@ -163,9 +160,7 @@ def run_sweep(
     for ps, k_max, chips, config in grid.configs():
         report = asic_report(config)
         result = FleetScheduler(
-            FleetConfig.uniform(
-                chips, config, batch_pairs=batch_pairs, policy=policy
-            )
+            FleetConfig.uniform(chips, config, batch_pairs=batch_pairs)
         ).run(pairs)
         points.append(
             {
@@ -212,7 +207,7 @@ def run_sweep(
             "chip_counts": sorted(set(grid.chip_counts)),
             "max_read_len": grid.max_read_len,
         },
-        "scheduler": {"policy": policy, "batch_pairs": batch_pairs},
+        "scheduler": {"batch_pairs": batch_pairs},
         "points": points,
         "frontier": frontier,
     }

@@ -87,7 +87,7 @@ def render_workload(doc: dict) -> str:
         f"k_max {grid['k_max_values']} × chips {grid['chip_counts']} "
         f"at max_read_len {grid['max_read_len']} "
         f"({len(doc['points'])} simulated points).\n"
-        f"* **Scheduler:** `{sched['policy']}` routing, "
+        "* **Scheduler:** `least-loaded` routing, "
         f"{sched['batch_pairs']} pairs per micro-batch.\n"
         f"* **Clock:** every chip at {doc['clock_hz'] / 1e9:g} GHz "
         f"(§5.2 post-PnR)."

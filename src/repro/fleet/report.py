@@ -122,10 +122,9 @@ FLEET_SWEEP_SCHEMA = {
         },
         "scheduler": {
             "type": "object",
-            "required": ["policy", "batch_pairs"],
+            "required": ["batch_pairs"],
             "additionalProperties": False,
             "properties": {
-                "policy": {"enum": ["least-loaded", "round-robin"]},
                 "batch_pairs": {"type": "integer", "minimum": 1},
             },
         },

@@ -9,11 +9,9 @@ them:
 * **capability first** — a batch only goes to a chip whose configured
   ``max_read_len`` covers the batch (heterogeneous fleets can mix small
   short-read chips with a few long-read-capable ones);
-* **queue depth second** — under the default ``least-loaded`` policy the
-  batch goes to the capable chip whose simulated queue drains first
-  (``ready_cycle`` plus an integer cycles-per-base forecast), ties
-  broken by chip index; ``round-robin`` cycles through capable chips in
-  order instead.
+* **least-loaded second** — the batch goes to the capable chip whose
+  simulated queue drains first (``ready_cycle`` plus an integer
+  cycles-per-base forecast), ties broken by chip index.
 
 Everything is deterministic and wall-clock-free: routing decisions are
 integer comparisons over simulated cycles, so a fleet run is exactly
@@ -42,17 +40,12 @@ from ..workloads.generator import SequencePair
 from .chip import DEFAULT_CHIP_MEMORY_BYTES, FleetChip
 
 __all__ = [
-    "FLEET_POLICIES",
     "FleetConfig",
     "FleetPairOutcome",
     "ChipStats",
     "FleetResult",
     "FleetScheduler",
 ]
-
-#: Supported routing policies.
-FLEET_POLICIES = ("least-loaded", "round-robin")
-
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -67,9 +60,6 @@ class FleetConfig:
     batch_pairs:
         Pairs per routed micro-batch.  Input order is preserved: the
         workload is cut into consecutive slices of this size.
-    policy:
-        ``least-loaded`` (default) or ``round-robin`` — see the module
-        docstring.
     backtrace:
         Run the backtrace flow (CIGARs recovered by each chip's CPU).
         Requires every chip configuration to have ``backtrace=True``.
@@ -79,7 +69,6 @@ class FleetConfig:
 
     chips: tuple[WfasicConfig, ...]
     batch_pairs: int = 8
-    policy: str = "least-loaded"
     backtrace: bool = False
     chip_memory_bytes: int = DEFAULT_CHIP_MEMORY_BYTES
 
@@ -88,10 +77,6 @@ class FleetConfig:
             raise ValueError("a fleet needs at least one chip")
         if self.batch_pairs < 1:
             raise ValueError("batch_pairs must be >= 1")
-        if self.policy not in FLEET_POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of {FLEET_POLICIES}"
-            )
         if self.chip_memory_bytes < 1024 * 1024:
             raise ValueError("chip_memory_bytes must be >= 1 MiB")
         if self.backtrace and not all(c.backtrace for c in self.chips):
@@ -106,7 +91,6 @@ class FleetConfig:
         config: WfasicConfig,
         *,
         batch_pairs: int = 8,
-        policy: str = "least-loaded",
         backtrace: bool = False,
         chip_memory_bytes: int = DEFAULT_CHIP_MEMORY_BYTES,
     ) -> "FleetConfig":
@@ -116,7 +100,6 @@ class FleetConfig:
         return cls(
             chips=(config,) * count,
             batch_pairs=batch_pairs,
-            policy=policy,
             backtrace=backtrace,
             chip_memory_bytes=chip_memory_bytes,
         )
@@ -174,7 +157,6 @@ class FleetResult:
     #: SWG-equivalent DP cells of the routed pairs (GCUPS basis).
     swg_cells: int
     clock_hz: float = GF22_FREQUENCY_HZ
-    policy: str = "least-loaded"
     _extra: dict[str, float] = field(default_factory=dict, repr=False)
 
     @property
@@ -245,7 +227,6 @@ class FleetResult:
             "batches": self.batches,
             "makespan_cycles": self.makespan_cycles,
             "clock_hz": self.clock_hz,
-            "policy": self.policy,
             "pairs_per_second": self.pairs_per_second,
             "gcups": self.gcups,
             "total_area_mm2": self.total_area_mm2,
@@ -273,7 +254,7 @@ class FleetResult:
     def describe(self) -> str:
         """Human-readable summary (the CLI's stdout block)."""
         lines = [
-            f"fleet: {len(self.chips)} chip(s), policy {self.policy}, "
+            f"fleet: {len(self.chips)} chip(s), "
             f"{self.num_pairs} pairs in {self.batches} batch(es)",
             f"makespan {self.makespan_cycles} cycles "
             f"({self.seconds * 1e6:.1f} us @ {self.clock_hz / 1e9:g} GHz) "
@@ -311,7 +292,6 @@ class FleetScheduler:
             for i, chip_config in enumerate(config.chips)
         ]
         self._registry = registry
-        self._rr_next = 0
 
     def run(self, pairs: list[SequencePair]) -> FleetResult:
         """Route ``pairs`` through the fleet; the aggregate result.
@@ -352,7 +332,6 @@ class FleetScheduler:
                 for p in pairs
                 if outcomes[p.pair_id].routed
             ),
-            policy=self.config.policy,
         )
         publish_fleet_result(result, registry=self._registry)
         return result
@@ -364,47 +343,41 @@ class FleetScheduler:
         batch: list[SequencePair],
         outcomes: dict[int, FleetPairOutcome],
     ) -> int:
-        """Route one micro-batch; the number of unroutable pairs."""
-        capable = [c for c in self.chips if c.supports(batch)]
-        if not capable:
-            if len(batch) > 1:
-                # A mixed batch may be partially routable pair by pair.
-                return sum(self._route([p], outcomes) for p in batch)
-            pair = batch[0]
-            outcomes[pair.pair_id] = FleetPairOutcome(
-                pair_id=pair.pair_id,
-                score=0,
-                success=False,
-                cigar=None,
-                chip_index=-1,
-            )
-            return 1
-        chip = self._pick(capable, batch)
-        _, outcome = chip.run_batch(batch, backtrace=self.config.backtrace)
-        for pair in batch:
-            cigar = outcome.cigars.get(pair.pair_id)
-            outcomes[pair.pair_id] = FleetPairOutcome(
-                pair_id=pair.pair_id,
-                score=outcome.scores[pair.pair_id],
-                success=outcome.success[pair.pair_id],
-                cigar=None if cigar is None else cigar.compact(),
-                chip_index=chip.index,
-            )
-        return 0
+        """Route one micro-batch; the number of unroutable pairs.
 
-    def _pick(
-        self, capable: list[FleetChip], batch: list[SequencePair]
-    ) -> FleetChip:
-        """The routing decision over the capable chips (deterministic)."""
-        if self.config.policy == "round-robin":
-            n = len(self.chips)
-            for offset in range(n):
-                chip = self.chips[(self._rr_next + offset) % n]
-                if chip in capable:
-                    self._rr_next = (chip.index + 1) % n
-                    return chip
-            raise AssertionError("capable chips vanished")  # pragma: no cover
-        return min(
-            capable,
-            key=lambda c: (c.ready_cycle + c.estimate_cycles(batch), c.index),
-        )
+        The batch goes to the least-loaded capable chip.  A batch no chip
+        accepts whole may still be partly routable, so it is routed pair
+        by pair instead.
+        """
+        parts = [batch]
+        if not any(c.supports(batch) for c in self.chips):
+            parts = [[pair] for pair in batch]
+        unroutable = 0
+        for part in parts:
+            capable = [c for c in self.chips if c.supports(part)]
+            if not capable:
+                (pair,) = part
+                outcomes[pair.pair_id] = FleetPairOutcome(
+                    pair_id=pair.pair_id,
+                    score=0,
+                    success=False,
+                    cigar=None,
+                    chip_index=-1,
+                )
+                unroutable += 1
+                continue
+            chip = min(
+                capable,
+                key=lambda c: (c.ready_cycle + c.estimate_cycles(part), c.index),
+            )
+            _, outcome = chip.run_batch(part, backtrace=self.config.backtrace)
+            for pair in part:
+                cigar = outcome.cigars.get(pair.pair_id)
+                outcomes[pair.pair_id] = FleetPairOutcome(
+                    pair_id=pair.pair_id,
+                    score=outcome.scores[pair.pair_id],
+                    success=outcome.success[pair.pair_id],
+                    cigar=None if cigar is None else cigar.compact(),
+                    chip_index=chip.index,
+                )
+        return unroutable

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..align.cigar import Cigar
 from ..align.wfa import WfaWorkCounters
 from ..align.wfa_vectorized import VectorizedWfaAligner
 from ..obs.publish import publish_accelerator_batch
-from ..wfasic.accelerator import BatchResult
-from ..wfasic.backtrace_cpu import CpuBacktracer, CpuBacktraceWork
+from ..wfasic.accelerator import BatchAnswers, BatchResult, batch_answers, batch_image
 from ..wfasic.config import WfasicConfig
-from ..wfasic.packets import encode_input_image, round_up_read_len
 from ..workloads.generator import SequencePair
 from .cpu import SargantanaModel
 from .driver import WfasicDevice, WfasicDriver
@@ -36,8 +33,9 @@ __all__ = ["AcceleratedOutcome", "CpuOutcome", "Soc"]
 
 
 @dataclass
-class AcceleratedOutcome:
-    """Result of one accelerated batch (Fig. 4 flow)."""
+class AcceleratedOutcome(BatchAnswers):
+    """Result of one accelerated batch (Fig. 4 flow): the per-pair
+    answers plus the batch and its cycle costs."""
 
     batch: BatchResult
     #: Accelerator makespan in cycles (reading + aligning + output).
@@ -46,11 +44,6 @@ class AcceleratedOutcome:
     cpu_backtrace_cycles: int
     #: CPU cycles spent programming/polling the MMIO registers (§3).
     cpu_driver_cycles: int
-    #: Per-alignment outcomes keyed by alignment ID.
-    scores: dict[int, int]
-    success: dict[int, bool]
-    cigars: dict[int, Cigar | None]
-    backtrace_work: CpuBacktraceWork | None
 
     @property
     def total_cycles(self) -> int:
@@ -103,6 +96,10 @@ class Soc:
     ) -> AcceleratedOutcome:
         """Fig. 4: CPU stages inputs, WFAsic aligns, CPU backtraces.
 
+        The image and the answers come from the shared batch flow
+        (:func:`~repro.wfasic.batch_image`,
+        :func:`~repro.wfasic.batch_answers`): a read longer than the
+        configured ``max_read_len`` is answered with Success cleared.
         ``backtrace`` defaults to the SoC configuration; ``separate``
         picks the CPU backtrace method and defaults to the §4.5 rule:
         separation only when more than one Aligner interleaves the
@@ -112,12 +109,7 @@ class Soc:
         batch's simulated start cycle.
         """
         bt = self.config.backtrace if backtrace is None else backtrace
-        if separate is None:
-            separate = self.config.num_aligners > 1
-        max_read_len = round_up_read_len(
-            max((p.max_length for p in pairs), default=1)
-        )
-        image = encode_input_image(pairs, max_read_len)
+        image, max_read_len = batch_image(pairs, self.config)
 
         self.memory.reset_allocator()
         accesses_before = self.driver.axi_lite.reads + self.driver.axi_lite.writes
@@ -138,35 +130,19 @@ class Soc:
         ) - accesses_before
         driver_cycles = self.cpu.driver_cycles(register_accesses)
 
-        scores = {r.alignment_id: r.score for r in batch.runs}
-        success = {r.alignment_id: r.success for r in batch.runs}
-        cigars: dict[int, Cigar | None] = {r.alignment_id: None for r in batch.runs}
+        answers = batch_answers(batch, pairs, stream=stream, separate=separate)
         cpu_bt_cycles = 0
-        bt_work: CpuBacktraceWork | None = None
-
-        if bt:
-            cfg = self.config.with_backtrace(True)
-            sequences = {p.pair_id: (p.pattern, p.text) for p in pairs}
-            results, bt_work = CpuBacktracer(cfg).process(
-                stream, sequences, separate=separate
-            )
-            for res in results:
-                cigars[res.alignment_id] = res.cigar
-                scores[res.alignment_id] = res.score if res.success else 0
-                success[res.alignment_id] = res.success
+        if answers.backtrace_work is not None:
             cpu_bt_cycles = self.cpu.backtrace_cycles(
-                bt_work, num_alignments=len(pairs)
+                answers.backtrace_work, num_alignments=len(pairs)
             )
 
         return AcceleratedOutcome(
+            **vars(answers),
             batch=batch,
             accelerator_cycles=batch.total_cycles,
             cpu_backtrace_cycles=cpu_bt_cycles,
             cpu_driver_cycles=driver_cycles,
-            scores=scores,
-            success=success,
-            cigars=cigars,
-            backtrace_work=bt_work,
         )
 
     # -- CPU-only flow -------------------------------------------------------------

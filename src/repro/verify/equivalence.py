@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from ..align.swg import swg_align
 from ..align.wfa import WfaAligner
 from ..align.wfa_vectorized import VectorizedWfaAligner
-from ..wfasic.accelerator import WfasicAccelerator
-from ..wfasic.backtrace_cpu import CpuBacktracer
+from ..wfasic.accelerator import WfasicAccelerator, batch_answers
 from ..wfasic.config import WfasicConfig
-from ..wfasic.packets import encode_input_image, round_up_read_len
 from ..workloads.generator import PairGenerator, SequencePair
 
 __all__ = ["Mismatch", "EquivalenceReport", "EquivalenceChecker"]
@@ -84,18 +82,7 @@ class EquivalenceChecker:
         report = EquivalenceReport()
         cfg = self.config
         pen = cfg.penalties
-        max_read_len = min(
-            round_up_read_len(max((p.max_length for p in pairs), default=1)),
-            cfg.max_read_len,
-        )
-        image = encode_input_image(pairs, max_read_len)
-        accel = WfasicAccelerator(cfg)
-        batch = accel.run_image(image, max_read_len)
-        sequences = {p.pair_id: (p.pattern, p.text) for p in pairs}
-        bt_results, _ = CpuBacktracer(cfg).process(
-            batch.output.as_stream(), sequences, separate=cfg.num_aligners > 1
-        )
-        bt_by_id = {r.alignment_id: r for r in bt_results}
+        answers = batch_answers(WfasicAccelerator(cfg).run_pairs(pairs), pairs)
 
         scalar = WfaAligner(pen)
         vector = VectorizedWfaAligner(pen)
@@ -104,55 +91,51 @@ class EquivalenceChecker:
             report.pairs_checked += 1
             a, b = pair.pattern, pair.text
             oracle = swg_align(a, b, pen)
-            run = batch.run_for(pair.pair_id)
-
-            if not run.success:
+            pid = pair.pair_id
+            if not answers.success[pid]:
                 report.mismatches.append(
-                    Mismatch(pair.pair_id, "success", "accelerator rejected pair")
+                    Mismatch(pid, "success", "accelerator rejected pair")
                 )
                 continue
-            if run.score != oracle.score:
+            score = answers.scores[pid]
+            if score != oracle.score:
                 report.mismatches.append(
                     Mismatch(
-                        pair.pair_id,
-                        "score",
-                        f"accelerator {run.score} != oracle {oracle.score}",
+                        pid, "score", f"accelerator {score} != oracle {oracle.score}"
                     )
                 )
-            res_bt = bt_by_id.get(pair.pair_id)
-            if res_bt is None or res_bt.cigar is None:
+            cigar = answers.cigars[pid]
+            if cigar is None:
                 report.mismatches.append(
-                    Mismatch(pair.pair_id, "backtrace", "no CIGAR recovered")
+                    Mismatch(pid, "backtrace", "no CIGAR recovered")
                 )
             else:
                 try:
-                    res_bt.cigar.validate(a, b)
-                    if res_bt.cigar.score(pen) != oracle.score:
+                    cigar.validate(a, b)
+                    if cigar.score(pen) != oracle.score:
                         report.mismatches.append(
                             Mismatch(
-                                pair.pair_id,
+                                pid,
                                 "cigar-score",
-                                f"{res_bt.cigar.score(pen)} != {oracle.score}",
+                                f"{cigar.score(pen)} != {oracle.score}",
                             )
                         )
                 except Exception as exc:  # CigarError
-                    report.mismatches.append(
-                        Mismatch(pair.pair_id, "cigar", str(exc))
-                    )
+                    report.mismatches.append(Mismatch(pid, "cigar", str(exc)))
 
             rs = scalar.align(a, b)
             rv = vector.align(a, b)
             if rs.score != oracle.score or rv.score != oracle.score:
                 report.mismatches.append(
                     Mismatch(
-                        pair.pair_id,
+                        pid,
                         "software",
                         f"scalar {rs.score} / vector {rv.score} vs {oracle.score}",
                     )
                 )
             if rs.work.cells_computed != rv.work.cells_computed:
                 report.mismatches.append(
-                    Mismatch(pair.pair_id, "work", "scalar/vector cell counts differ")
+                    Mismatch(pid, "work", "scalar/vector cell counts differ")
                 )
         return report
 

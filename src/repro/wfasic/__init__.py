@@ -6,6 +6,8 @@ Public surface:
   sections, ``k_max``, MAX_READ_LEN, backtrace enable; Eq. 5/6 limits).
 * :class:`WfasicAccelerator` — the top level (Fig. 5): runs input images
   through DMA/Extractor/Aligners/Collector with cycle accounting.
+* :func:`batch_image` / :func:`batch_answers` — the CPU's side of every
+  batch: the input image and MAX_READ_LEN, and the per-pair answers.
 * :class:`Aligner` — one Aligner module (Extend/Compute parallel
   sections over banked wavefront vectors).
 * :class:`CpuBacktracer` — the CPU-side backtrace over the streamed
@@ -19,6 +21,8 @@ from .accelerator import (
     BatchResult,
     ScheduledAlignment,
     WfasicAccelerator,
+    batch_answers,
+    batch_image,
     max_efficient_aligners,
     schedule_makespan,
 )
@@ -88,6 +92,8 @@ __all__ = [
     "WfasicAccelerator",
     "WfasicConfig",
     "asic_report",
+    "batch_answers",
+    "batch_image",
     "configs_within_budget",
     "fpga_report",
     "max_efficient_aligners",

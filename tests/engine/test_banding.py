@@ -308,7 +308,8 @@ class TestBandComposition:
         The aligner raises once asked for a second pair, so every
         multi-pair chunk fails and each pair is replayed alone; the
         replayed scores (some pessimistic at this band) must equal a
-        clean banded run's, not the exact ones.
+        clean banded run's, not the exact ones, and so must the band
+        counters of the report.
         """
         pairs = PairGenerator(
             length=300, error_rate=0.15, seed=5, max_text_length=330
@@ -330,6 +331,11 @@ class TestBandComposition:
         )
         assert replayed.report.errors == 0
         assert replayed.scores == clean.scores
+        assert clean.report.peak_wavefront_bytes > 0
+        for counter in ("peak_wavefront_bytes", "band_fallbacks"):
+            assert getattr(replayed.report, counter) == getattr(
+                clean.report, counter
+            )
 
     def test_banded_cache_hits_are_stable(self):
         pairs = _workload(8, count=8)

@@ -41,10 +41,6 @@ class TestFleetConfig:
         with pytest.raises(ValueError):
             FleetConfig(chips=())
 
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            FleetConfig.uniform(1, small_config(), policy="random")
-
     def test_fleet_backtrace_requires_chip_backtrace(self):
         with pytest.raises(ValueError):
             FleetConfig.uniform(1, small_config(), backtrace=True)
@@ -100,29 +96,20 @@ class TestRouting:
             if o.pair_id >= 1000:
                 assert o.chip_index == 1
 
-    def test_round_robin_uses_every_chip(self, pairs):
+    def test_least_loaded_uses_every_chip(self, pairs):
         result = FleetScheduler(
-            FleetConfig.uniform(
-                3, small_config(), batch_pairs=2, policy="round-robin"
-            )
+            FleetConfig.uniform(3, small_config(), batch_pairs=2)
         ).run(pairs)
-        assert all(c.batches == 2 for c in result.chips)
+        assert all(c.batches >= 1 for c in result.chips)
 
 
 class TestBitIdentity:
     def test_fleet_matches_single_chip_scores(self, pairs):
         """Scores/success are independent of fleet shape and batching."""
         single = Soc(small_config()).run_accelerated(pairs)
-        for chips, batch_pairs, policy in (
-            (2, 2, "least-loaded"),
-            (3, 1, "round-robin"),
-            (4, 5, "least-loaded"),
-        ):
+        for chips, batch_pairs in ((2, 2), (3, 1), (4, 5)):
             fleet = FleetScheduler(
-                FleetConfig.uniform(
-                    chips, small_config(),
-                    batch_pairs=batch_pairs, policy=policy,
-                )
+                FleetConfig.uniform(chips, small_config(), batch_pairs=batch_pairs)
             ).run(pairs)
             assert {o.pair_id: o.score for o in fleet.outcomes} == single.scores
             assert {

@@ -46,10 +46,7 @@ class TestSweepArtifact:
     def test_records_workload_and_scheduler(self, doc):
         assert doc["workload"]["input_set"] == "100-10%"
         assert doc["workload"]["num_pairs"] == 12
-        assert doc["scheduler"] == {
-            "policy": "least-loaded",
-            "batch_pairs": 3,
-        }
+        assert doc["scheduler"] == {"batch_pairs": 3}
 
     def test_physicals_scale_linearly_with_chips(self, doc):
         by_key = {
@@ -66,8 +63,6 @@ class TestSweepArtifact:
             SweepGrid(parallel_sections=())
         with pytest.raises(ValueError):
             SweepGrid(chip_counts=(0,))
-        with pytest.raises(ValueError):
-            run_sweep(SMALL_GRID, policy="random")
 
 
 class TestFrontierConsistency:

@@ -5,7 +5,7 @@ import pytest
 from repro.align import swg_align
 from repro.soc import Soc
 from repro.wfasic import WfasicConfig
-from repro.workloads import make_input_set
+from repro.workloads import PairGenerator, SequencePair, make_input_set
 
 from tests.util import assert_valid_cigar
 
@@ -70,6 +70,22 @@ class TestAcceleratedFlow:
             pairs = make_input_set("100-5%", 2)
             out = soc.run_accelerated(pairs)
             assert all(out.success.values())
+
+    @pytest.mark.parametrize("backtrace", [False, True])
+    def test_over_long_read_is_answered_unsupported(self, backtrace):
+        """A read over ``max_read_len`` clears that pair's Success; the
+        other pairs are answered as in a batch without it (§4.2)."""
+        config = WfasicConfig(max_read_len=64, backtrace=backtrace)
+        short = PairGenerator(length=40, error_rate=0.1, seed=3).batch(4)
+        long = PairGenerator(length=100, error_rate=0.1, seed=4).pair()
+        pairs = short + [SequencePair(long.pattern, long.text, pair_id=99)]
+        out = Soc(config).run_accelerated(pairs)
+        alone = Soc(config).run_accelerated(short)
+        assert (out.success[99], out.scores[99], out.cigars[99]) == (False, 0, None)
+        for p in short:
+            assert out.success[p.pair_id]
+            assert out.scores[p.pair_id] == alone.scores[p.pair_id]
+            assert out.cigars[p.pair_id] == alone.cigars[p.pair_id]
 
 
 class TestCpuFlow:

@@ -100,6 +100,16 @@ class TestAlign:
         empty.write_text("")
         assert main(["align", str(empty)]) == 1
 
+    def test_over_long_read_is_reported_not_raised(self, tmp_path, capsys):
+        """A read past the 10,000-base hardware limit is answered as
+        unsupported; the rest of the file is still aligned."""
+        path = tmp_path / "long.seq"
+        path.write_text(">ACGTACGT\n<ACGAACGT\n>" + "A" * 10_001 + "\n<ACGT\n")
+        assert main(["align", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "pair 1: score=0  [UNSUPPORTED/FAILED]" in out
+        assert "2 pairs, 1 failures" in out
+
 
 class TestBatch:
     @pytest.fixture()
