@@ -118,7 +118,7 @@ def engine_view() -> None:
     ):
         res = align_pairs(
             requests,
-            backend="vectorized",
+            backend="batched",
             workers=workers,
             chunk_size=8,
             cache_size=cache,

@@ -7,10 +7,10 @@ Public surface:
 * :func:`swg_align` — gap-affine DP oracle (Eq. 2).
 * :func:`sw_linear_align` — gap-linear DP (Eq. 1).
 * :func:`wfa_align` / :class:`WfaAligner` — scalar WFA (Eq. 3/4).
-* :func:`wfa_align_vectorized` / :class:`VectorizedWfaAligner` — numpy WFA.
+* :func:`wfa_align_vectorized` / :class:`VectorizedWfaAligner` — numpy WFA
+  one pair at a time (the SoC's CPU flow and the equivalence checker).
 * :func:`wfa_align_batched` / :class:`BatchedWfaAligner` — cross-pair
   batched WFA: N pairs' wavefronts advanced in lockstep per numpy call.
-* :class:`PackCache` — per-sequence packing cache for the batched path.
 * :class:`StageProfiler` — per-stage wall-time/call counters.
 * :class:`ScoreLattice` — reachable scores and theoretical wavefront bands.
 """
@@ -18,7 +18,7 @@ Public surface:
 from .banded import BandedResult, banded_swg_score
 from .cigar import Cigar, CigarError
 from .lattice import Band, ScoreLattice
-from .packing import PackCache, pack_batch
+from .packing import pack_batch
 from .penalties import DEFAULT_PENALTIES, AffinePenalties, LinearPenalties
 from .profile import StageProfiler, format_profile
 from .swg import SwgResult, swg_align, swg_score
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_PENALTIES",
     "LinearPenalties",
     "NULL_OFFSET",
-    "PackCache",
     "ScoreLattice",
     "ScoreLimitExceeded",
     "StageProfiler",

@@ -215,12 +215,27 @@ def batch_words(padded: np.ndarray) -> np.ndarray:
 class BatchedComputeOutput:
     """One compute() step for a whole batch of pairs."""
 
-    m: np.ndarray  # int64 (pairs, width), NULL_OFFSET where unreachable
-    i: np.ndarray
-    d: np.ndarray
-    live_m: np.ndarray  # bool (pairs,): row has at least one live M cell
-    live_i: np.ndarray
-    live_d: np.ndarray
+    #: int64 ``(3, pairs, width)``: the M, I and D wavefronts stacked,
+    #: NULL_OFFSET where unreachable.
+    mid: np.ndarray
+    #: bool ``(3, pairs)``: the row holds at least one live M / I / D cell.
+    live: np.ndarray
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.mid[0]
+
+    @property
+    def i(self) -> np.ndarray:
+        return self.mid[1]
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.mid[2]
+
+    @property
+    def live_m(self) -> np.ndarray:
+        return self.live[0]
 
 
 @dataclass(frozen=True)
@@ -295,57 +310,55 @@ def compute_kernel_batched(
     ks: np.ndarray,
     ns: np.ndarray,
     ms: np.ndarray,
-    valid: np.ndarray,
+    valid: np.ndarray | None = None,
 ) -> BatchedComputeOutput:
     """Eq. 3 for one score step of a whole batch at once.
 
     The 2D counterpart of :func:`compute_kernel`: every input is
     ``(pairs, width)`` with row ``p`` aligned to that pair's band (use
     :func:`gather_window_batched` to build the shifted source windows),
-    ``ks[p, t]`` is the diagonal of cell ``(p, t)``, ``ns``/``ms`` are
-    per-pair sequence lengths broadcastable against the cells (pass
-    column vectors), and ``valid`` masks the padding columns beyond each
-    pair's band (bands are padded to the widest pair in the batch).
+    ``ks[p, t]`` is the diagonal of cell ``(p, t)``, and ``ns``/``ms``
+    are per-pair sequence lengths broadcastable against the cells (pass
+    column vectors).  ``valid`` optionally masks padding columns.  A
+    caller whose windows are NULL outside each pair's source bands needs
+    no mask: every cell past a pair's new band is then unreachable.
     """
-    ins = np.maximum(m_oe_km1, i_e_km1) + 1
-    dele = np.maximum(m_oe_kp1, d_e_kp1)
-    sub = m_x + 1
+    pairs, width = ks.shape
+    mid = np.empty((3, pairs, width), dtype=np.int64)
+    mwf, ins, dele = mid
+    np.add(m_x, 1, out=mwf)
+    np.maximum(m_oe_km1, i_e_km1, out=ins)
+    ins += 1
+    np.maximum(m_oe_kp1, d_e_kp1, out=dele)
 
     # A candidate lives iff ``0 <= offset < room``: within the text
     # (``offset <= m``), the pattern (``offset - k <= n``) and the band.
-    # Viewed as unsigned, one comparison checks both ends.
-    room = np.where(valid, np.maximum(np.minimum(ms, ks + ns) + 1, 0), 0)
-    room = room.view(np.uint64)
-    for arr in (ins, dele, sub):
-        arr[arr.view(np.uint64) >= room] = NULL_OFFSET
+    # Viewed as unsigned, one comparison checks both ends, for all three
+    # candidates at once.
+    room = np.maximum(np.minimum(ms, ks + ns) + 1, 0)
+    if valid is not None:
+        room = np.where(valid, room, 0)
+    np.putmask(mid, mid.view(np.uint64) >= room.view(np.uint64), NULL_OFFSET)
 
-    mwf = np.maximum(np.maximum(ins, dele), sub)
-    return BatchedComputeOutput(
-        m=mwf,
-        i=ins,
-        d=dele,
-        live_m=(mwf >= 0).any(axis=1),
-        live_i=(ins >= 0).any(axis=1),
-        live_d=(dele >= 0).any(axis=1),
-    )
+    np.maximum(mwf, ins, out=mwf)
+    np.maximum(mwf, dele, out=mwf)
+    return BatchedComputeOutput(mid=mid, live=mid.max(axis=2) >= 0)
 
 
 @dataclass(frozen=True)
 class BandPruneOutput:
     """Result of one adaptive band-pruning step for a whole batch."""
 
-    m: np.ndarray  # int64 (pairs, new_width), NULL_OFFSET padded
-    i: np.ndarray
-    d: np.ndarray
+    #: int64 ``(3, pairs, new_width + 1)``: M/I/D, NULL padded, last
+    #: column a NULL pad (the layout of the input).
+    mid: np.ndarray
     lo: np.ndarray  # int64 (pairs,): new band start per pair
     hi: np.ndarray  # int64 (pairs,): new band end per pair
     pruned: np.ndarray  # int64 (pairs,): live cells discarded per pair
 
 
 def band_prune_batched(
-    m: np.ndarray,
-    i: np.ndarray,
-    d: np.ndarray,
+    mid: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     band_width: int,
@@ -353,24 +366,26 @@ def band_prune_batched(
 ) -> BandPruneOutput:
     """Trim every pair's wavefronts to ``band_width`` diagonals at once.
 
-    The batched twin of ``WfaAligner._prune_band`` with identical
-    semantics: each row re-centers on its cell of maximum anti-diagonal
-    progress ``2 * offset - k`` (ties to the lowest diagonal, matching
+    ``mid`` stacks the M/I/D wavefronts as ``(3, pairs, width + 1)``:
+    row ``p`` covers diagonals ``lo[p]..hi[p]``, NULL_OFFSET past them,
+    and the last column is a NULL pad.  The batched twin of
+    ``WfaAligner._prune_band`` with identical semantics: each row
+    re-centers on its cell of maximum anti-diagonal progress
+    ``2 * offset - k`` (ties to the lowest diagonal, matching
     ``np.argmax`` row-wise), clamps the window inside ``lo..hi``, and
     gathers M/I/D into one shared band.  Rows flagged in ``keep``
     (retiring pairs whose full-width wavefront feeds the backtrace) and
     rows already no wider than the band pass through untouched;
     ``pruned`` counts the live cells each row discarded.
     """
-    width = m.shape[1]
-    w_rows = hi - lo + 1  # nonsense for BAND_ABSENT rows; masked below
-    live_any = (m >= 0).any(axis=1)
-    need = live_any & ~keep & (w_rows > band_width)
-    if not need.any():
+    m = mid[0]
+    pad = m.shape[1] - 1
+    need = (m.max(axis=1) >= 0) & ~keep & (hi - lo + 1 > band_width)
+    if not np.count_nonzero(need):
         zeros = np.zeros(m.shape[0], dtype=np.int64)
-        return BandPruneOutput(m=m, i=i, d=d, lo=lo, hi=hi, pruned=zeros)
+        return BandPruneOutput(mid=mid, lo=lo, hi=hi, pruned=zeros)
 
-    ks = lo[:, None] + np.arange(width, dtype=np.int64)[None, :]
+    ks = lo[:, None] + np.arange(pad + 1, dtype=np.int64)
     prog = np.where(m >= 0, 2 * m - ks, PROG_NULL)
     center = lo + np.argmax(prog, axis=1)
     blo = np.minimum(np.maximum(center - band_width // 2, lo), hi - band_width + 1)
@@ -378,22 +393,18 @@ def band_prune_batched(
     bhi = np.where(need, blo + band_width - 1, hi)
 
     outside = (ks < blo[:, None]) | (ks > bhi[:, None])
-    pruned = np.zeros(m.shape[0], dtype=np.int64)
-    for arr in (m, i, d):
-        pruned += ((arr >= 0) & outside).sum(axis=1)
+    pruned = ((mid >= 0) & outside).sum(axis=(0, 2))
 
     new_width = int((bhi - blo).max()) + 1
     # ``bhi <= hi``, so gathering with ``bhi`` as the source band end
-    # also nulls the cells of a pruned row past its new window.
-    idx = _window_index(lo, bhi, width, blo, new_width, 0)
-    return BandPruneOutput(
-        m=_take_window(m, idx),
-        i=_take_window(i, idx),
-        d=_take_window(d, idx),
-        lo=blo,
-        hi=bhi,
-        pruned=pruned,
-    )
+    # also nulls the cells of a pruned row past its new window; the
+    # extra column lands past every band, on the source's pad.
+    idx = _window_index(lo, bhi, pad, blo, new_width + 1, 0)
+    flat = mid.reshape(3, -1)
+    out = np.empty((3, *idx.shape), dtype=np.int64)
+    for src, dst in zip(flat, out):
+        np.take(src, idx, out=dst)
+    return BandPruneOutput(mid=out, lo=blo, hi=bhi, pruned=pruned)
 
 
 def extend_kernel_batched(
@@ -404,6 +415,8 @@ def extend_kernel_batched(
     ms: np.ndarray,
     offsets: np.ndarray,
     lo: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> BatchedExtendOutput:
     """extend() for one score step of a whole batch, comparing 8-byte words.
 
@@ -412,7 +425,9 @@ def extend_kernel_batched(
     row of offset row ``p``, so a batch can retire pairs without
     compacting its words.  ``offsets`` is ``(pairs, width)`` with row
     ``p`` holding the pre-extension M offsets for diagonals starting at
-    ``lo[p]``; ``ns``/``ms`` are the per-row sequence lengths.
+    ``lo[p]``; ``ns``/``ms`` are the per-row sequence lengths.  The
+    extended offsets go to ``out``, a C-contiguous int64 array of the
+    same shape that may be ``offsets`` itself (default: a new array).
 
     All live cells inside both sequences, across *all* pairs, find their
     match length ``L`` together from 8-byte words as :func:`extend_kernel`
@@ -423,18 +438,23 @@ def extend_kernel_batched(
     sequences, which keeps work counters pair-accurate.
     """
     num_pairs, width = offsets.shape
-    out = offsets.astype(np.int64, order="C")  # a copy its ravel() views
+    if out is None:
+        out = offsets.astype(np.int64, order="C")
+    elif out is not offsets:
+        np.copyto(out, offsets)
     ks = lo[:, None] + np.arange(width, dtype=np.int64)
     # Each diagonal ends at the text end ``m`` or the pattern end ``k + n``.
     stop = np.minimum(ms[:, None], ks + ns[:, None])
-    cells = np.flatnonzero((out >= 0) & (out < stop))
+    cells = ((out >= 0) & (out < stop)).ravel().nonzero()[0]
+    flat = out.reshape(-1)
     rows = cells // max(width, 1)
-    j0 = out.ravel()[cells]
-    i0 = j0 - ks.ravel()[cells]
-    a_pos = word_rows[rows] * a_words.shape[1] + i0
-    b_pos = word_rows[rows] * b_words.shape[1] + j0
-    a_flat = a_words.ravel()
-    b_flat = b_words.ravel()
+    j0 = flat[cells]
+    i0 = j0 - ks.reshape(-1)[cells]
+    word_row = word_rows[rows]
+    a_pos = word_row * a_words.shape[1] + i0
+    b_pos = word_row * b_words.shape[1] + j0
+    a_flat = a_words.reshape(-1)
+    b_flat = b_words.reshape(-1)
 
     # ``run`` is the byte index of the first difference, or -1 (to be
     # overwritten) for cells whose whole word matched.  Most cells stop
@@ -443,7 +463,7 @@ def extend_kernel_batched(
     # past it (clipped at the matrix end) never decide anything.
     exp = _lowest_bit_exponent(a_flat[a_pos] ^ b_flat[b_pos])
     run = (exp - 1) >> 3
-    todo = np.flatnonzero(exp == 0)
+    todo = (exp == 0).nonzero()[0]
     matched = _WORD_BYTES
     while todo.size:
         ahead = matched + _TAIL_STRIDES
@@ -458,13 +478,11 @@ def extend_kernel_batched(
         matched += _WORD_BYTES * _TAIL_WORDS
 
     end = j0 + run
-    out.ravel()[cells] = end
-    at_end = end == stop.ravel()[cells]
+    flat[cells] = end
+    stopped = rows[end != stop.reshape(-1)[cells]]
     matches = np.bincount(rows, weights=run, minlength=num_pairs).astype(np.int64)
-    stops = np.bincount(rows, weights=~at_end, minlength=num_pairs).astype(np.int64)
-    return BatchedExtendOutput(
-        offsets=out, matches=matches, comparisons=matches + stops
-    )
+    comparisons = matches + np.bincount(stopped, minlength=num_pairs)
+    return BatchedExtendOutput(offsets=out, matches=matches, comparisons=comparisons)
 
 
 def extend_kernel(

@@ -58,7 +58,11 @@ class StageProfiler:
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Credit ``seconds``/``calls`` to a stage directly."""
-        self._stats(name).add(seconds, calls)
+        stats = self.stages.get(name)
+        if stats is None:
+            stats = self.stages[name] = StageStats()
+        stats.calls += calls
+        stats.seconds += seconds
 
     def count(self, name: str, calls: int = 1) -> None:
         """Bump a pure counter (a stage with no meaningful wall-time)."""

@@ -29,7 +29,7 @@ against the SWG oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
 from typing import Sequence
 
 import numpy as np
@@ -40,9 +40,8 @@ from .kernels import (
     batch_words,
     compute_kernel_batched,
     extend_kernel_batched,
-    gather_window_batched,
 )
-from .packing import PackCache, pack_batch
+from .packing import pack_batch
 from .penalties import AffinePenalties, DEFAULT_PENALTIES
 from .profile import StageProfiler
 from .wfa import (
@@ -60,43 +59,157 @@ __all__ = ["BatchedWfaAligner", "wfa_align_batched"]
 _SENTINEL_A = 0xFF
 _SENTINEL_B = 0xFE
 
+class _LiveRows:
+    """Per-pair state of the unfinished pairs, row-aligned with them.
 
-@dataclass
-class _BatchRecord:
-    """The M/I/D wavefronts of one score for every live pair.
-
-    Row ``p`` of each data array covers diagonals ``lo..hi`` of that
-    pair's band (padded to the batch-wide width); per-matrix ``lo`` is
-    :data:`BAND_ABSENT` (and ``hi`` its negation) for pairs that have no
-    wavefront in that matrix at this score, which makes every gather from
-    the row come back NULL without a separate existence mask.
+    One ``(16, pairs)`` int64 matrix holds every field, so retiring pairs
+    compacts all of it at once; the attributes are its row views.
+    Counters accumulate here in live-row order and reach the original
+    pair only once, when it retires (:meth:`work`).
     """
 
-    lo_m: np.ndarray
-    hi_m: np.ndarray
-    lo_i: np.ndarray
-    hi_i: np.ndarray
-    lo_d: np.ndarray
-    hi_d: np.ndarray
-    m: np.ndarray
-    i: np.ndarray
-    d: np.ndarray
-    #: Per-row stored cells (band width x matrices actually live), the
-    #: unit behind the ``peak_wavefront_bytes`` memory model.
-    row_cells: np.ndarray
+    state: np.ndarray
+    #: Original pair position, which is also the pair's word-matrix row.
+    act: np.ndarray
+    ns: np.ndarray
+    ms: np.ndarray
+    #: ``m - n``, the diagonal of the end cell.
+    kfin: np.ndarray
+    #: Score past which an exact pair cannot still be running.
+    caps: np.ndarray
+    #: Last score with an M wavefront (banded runs only).
+    last_live: np.ndarray
+    wf_steps: np.ndarray
+    cells: np.ndarray
+    ext_cmp: np.ndarray
+    ext_match: np.ndarray
+    peak_width: np.ndarray
+    pruned: np.ndarray
+    live_cells: np.ndarray
+    peak_cells: np.ndarray
+    #: ``[-n, -m]``: the lower bound of a ``[lo, -hi]`` band pair.
+    bounds: np.ndarray
+    #: ``min(caps)``, so the common case checks one int per score.
+    cap: int
+
+    def __init__(self, ns: np.ndarray, ms: np.ndarray, p: AffinePenalties) -> None:
+        state = np.zeros((16, len(ns)), dtype=np.int64)
+        state[0] = np.arange(len(ns))
+        state[1], state[2], state[3], state[4] = -ns, -ms, ns, ms
+        state[5] = ms - ns
+        state[6] = 2 * p.gap_open + p.gap_extend * (ns + ms) + p.mismatch
+        self._bind(state)
+
+    def _bind(self, state: np.ndarray) -> None:
+        self.state = state
+        self.bounds = state[1:3]
+        (
+            self.act, _, _, self.ns, self.ms, self.kfin, self.caps,
+            self.last_live, self.wf_steps, self.cells, self.ext_cmp,
+            self.ext_match, self.peak_width, self.pruned, self.live_cells,
+            self.peak_cells,
+        ) = state
+        self.cap = int(self.caps.min()) if state.shape[1] else 0
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop retired pairs' rows (``keep`` is a boolean row mask)."""
-        self.lo_m = self.lo_m[keep]
-        self.hi_m = self.hi_m[keep]
-        self.lo_i = self.lo_i[keep]
-        self.hi_i = self.hi_i[keep]
-        self.lo_d = self.lo_d[keep]
-        self.hi_d = self.hi_d[keep]
-        self.m = self.m[keep]
-        self.i = self.i[keep]
-        self.d = self.d[keep]
-        self.row_cells = self.row_cells[keep]
+        self._bind(self.state[:, keep])
+
+    def work(self, rows: np.ndarray, iterations: int) -> list[WfaWorkCounters]:
+        """The work counters of live ``rows`` after ``iterations`` scores."""
+        fields = (
+            self.wf_steps, self.cells, self.ext_cmp, self.ext_match,
+            self.peak_width, self.pruned, self.peak_cells,
+        )
+        return [
+            WfaWorkCounters(
+                score_iterations=iterations,
+                wavefront_steps=steps,
+                cells_computed=cells,
+                extend_comparisons=compares,
+                extend_matches=matches,
+                peak_wavefront_width=width,
+                # The score-0 cell is allocated but never computed.
+                cells_allocated=cells + 1,
+                band_pruned_cells=pruned,
+                peak_wavefront_bytes=BYTES_PER_CELL * peak,
+            )
+            for steps, cells, compares, matches, width, pruned, peak in zip(
+                *(row[rows].tolist() for row in fields)
+            )
+        ]
+
+
+class _BatchRecord:
+    """The M/I/D wavefronts of one score for every live pair.
+
+    ``mid`` stacks M, I and D as ``(3, pairs, width + 1)``.  Row ``p``
+    covers diagonals from ``lo[p]``; cells past the pair's band, whole
+    rows of a matrix the pair has no wavefront in, and the last (pad)
+    column are NULL_OFFSET, so one index per window serves all three
+    matrices (:meth:`window`).
+
+    ``band_m`` and ``band_id`` are ``(2, pairs)`` pairs ``[lo, -hi]`` of
+    the M band and of the I-or-D band, :data:`BAND_ABSENT` for pairs
+    without such a wavefront: the next score's band is their elementwise
+    minimum.  ``row_cells`` counts the cells stored per pair (band width
+    x live matrices), the unit of the ``peak_wavefront_bytes`` model.
+    """
+
+    __slots__ = (
+        "mid", "meta", "width", "row_base", "lo", "band_m", "band_id",
+        "row_cells", "m_flat", "i_flat", "d_flat",
+    )
+
+    def __init__(self, mid: np.ndarray, meta: np.ndarray) -> None:
+        self._bind(mid, meta)
+
+    def _bind(self, mid: np.ndarray, meta: np.ndarray) -> None:
+        self.mid, self.meta = mid, meta
+        rows, cols = mid.shape[1:]
+        self.width = cols - 1
+        self.row_base = np.arange(0, rows * cols, cols, dtype=np.int64)[:, None]
+        self.lo = meta[0]
+        self.band_m = meta[1:3]
+        self.band_id = meta[3:5]
+        self.row_cells = meta[5]
+        self.m_flat, self.i_flat, self.d_flat = mid.reshape(3, -1)
+
+    @classmethod
+    def build(
+        cls, mid: np.ndarray, live: np.ndarray, band: np.ndarray, width: np.ndarray
+    ) -> "_BatchRecord":
+        """A record of ``mid`` with per-matrix ``live`` rows, ``band``
+        (``[lo, -hi]`` per row) and band ``width`` per row."""
+        meta = np.empty((6, mid.shape[1]), dtype=np.int64)
+        meta[0] = band[0]
+        meta[1:3] = band
+        meta[3:5] = band
+        if np.count_nonzero(live) < live.size:
+            meta[1:3, ~live[0]] = BAND_ABSENT
+            meta[3:5, ~(live[1] | live[2])] = BAND_ABSENT
+        # I and D cells only exist where M does, so a row with no M
+        # wavefront stores nothing.
+        np.multiply(width, np.add.reduce(live, axis=0), out=meta[5])
+        return cls(mid, meta)
+
+    def window(self, lo_new: np.ndarray, cols: int, shift: int) -> np.ndarray:
+        """Flat index of each pair's diagonals ``lo_new + shift`` onward.
+
+        ``m_flat[idx]`` (or ``i_flat``/``d_flat``) is the ``(pairs,
+        cols)`` window, NULL_OFFSET outside the pair's band: columns off
+        either end of the row land on its pad (viewed as unsigned, a
+        negative column is huge, so one ``minimum`` clamps both ends).
+        """
+        idx = (lo_new - self.lo)[:, None] + np.arange(shift, shift + cols)
+        col = idx.view(np.uint64)
+        np.minimum(col, self.width, out=col)
+        idx += self.row_base
+        return idx
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Drop retired pairs' rows (``keep`` is a boolean row mask)."""
+        self._bind(self.mid[:, keep], self.meta[:, keep])
 
 
 class BatchedWfaAligner:
@@ -116,9 +229,6 @@ class BatchedWfaAligner:
         Abort threshold: raises :class:`ScoreLimitExceeded` as soon as
         the *batch* score passes it while any pair is unfinished (the
         whole call fails — a batch shares its score clock).
-    pack_cache:
-        Optional :class:`repro.align.packing.PackCache` so repeated
-        sequences skip the string->uint8 packing step.
     profiler:
         Optional :class:`repro.align.profile.StageProfiler`; the aligner
         charges its ``pack`` / ``compute`` / ``extend`` / ``band`` /
@@ -139,7 +249,6 @@ class BatchedWfaAligner:
         *,
         keep_backtrace: bool = True,
         max_score: int | None = None,
-        pack_cache: PackCache | None = None,
         profiler: StageProfiler | None = None,
         band_width: int | None = None,
     ) -> None:
@@ -148,7 +257,6 @@ class BatchedWfaAligner:
         self.penalties = penalties
         self.keep_backtrace = keep_backtrace
         self.max_score = max_score
-        self.pack_cache = pack_cache
         self.profiler = profiler if profiler is not None else StageProfiler()
         self.band_width = band_width
 
@@ -173,208 +281,138 @@ class BatchedWfaAligner:
                 )
         p = self.penalties
         prof = self.profiler
+        clock = time.perf_counter
+        keep_backtrace = self.keep_backtrace
+        band_width = self.band_width
         results: list[WfaResult | None] = [None] * num_pairs
 
-        with prof.stage("pack"):
-            if self.pack_cache is not None:
-                hits0, miss0 = self.pack_cache.hits, self.pack_cache.misses
-            # Word matrices stay indexed by original pair position (the
-            # extend kernel maps live rows through ``act``), so retiring
-            # pairs never copies them; the byte matrices are dropped here.
-            a_words = batch_words(
-                pack_batch(
-                    [a for a, _ in pairs], sentinel=_SENTINEL_A, cache=self.pack_cache
-                )
-            )
-            b_words = batch_words(
-                pack_batch(
-                    [b for _, b in pairs], sentinel=_SENTINEL_B, cache=self.pack_cache
-                )
-            )
-            if self.pack_cache is not None:
-                prof.count("pack_hits", self.pack_cache.hits - hits0)
-                prof.count("pack_misses", self.pack_cache.misses - miss0)
+        t0 = clock()
+        # Word matrices stay indexed by original pair position (the
+        # extend kernel maps live rows through ``act``), so retiring
+        # pairs never copies them; the byte matrices are dropped here.
+        a_words = batch_words(pack_batch([a for a, _ in pairs], sentinel=_SENTINEL_A))
+        b_words = batch_words(pack_batch([b for _, b in pairs], sentinel=_SENTINEL_B))
+        prof.add("pack", clock() - t0)
 
-        # Per-pair geometry, indexed by *original* pair position.
-        ns_all = np.array([len(a) for a, _ in pairs], dtype=np.int64)
-        ms_all = np.array([len(b) for _, b in pairs], dtype=np.int64)
-
-        # Work counters stay per original pair so retirement can hand each
-        # result the same accounting the scalar aligner would have kept.
-        score_iters = np.zeros(num_pairs, dtype=np.int64)
-        wf_steps = np.zeros(num_pairs, dtype=np.int64)
-        cells_comp = np.zeros(num_pairs, dtype=np.int64)
-        cells_alloc = np.zeros(num_pairs, dtype=np.int64)
-        ext_cmp = np.zeros(num_pairs, dtype=np.int64)
-        ext_match = np.zeros(num_pairs, dtype=np.int64)
-        peak_width = np.zeros(num_pairs, dtype=np.int64)
-        band_pruned = np.zeros(num_pairs, dtype=np.int64)
-        live_cells = np.zeros(num_pairs, dtype=np.int64)
-        peak_cells = np.zeros(num_pairs, dtype=np.int64)
-
+        live = _LiveRows(
+            np.array([len(a) for a, _ in pairs], dtype=np.int64),
+            np.array([len(b) for _, b in pairs], dtype=np.int64),
+            p,
+        )
         hist_m: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
         hist_i: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
         hist_d: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
-
-        def work_for(orig: int) -> WfaWorkCounters:
-            return WfaWorkCounters(
-                score_iterations=int(score_iters[orig]),
-                wavefront_steps=int(wf_steps[orig]),
-                cells_computed=int(cells_comp[orig]),
-                extend_comparisons=int(ext_cmp[orig]),
-                extend_matches=int(ext_match[orig]),
-                peak_wavefront_width=int(peak_width[orig]),
-                cells_allocated=int(cells_alloc[orig]),
-                band_pruned_cells=int(band_pruned[orig]),
-                peak_wavefront_bytes=int(BYTES_PER_CELL * peak_cells[orig]),
-            )
-
-        # Live state, row-aligned to ``act`` (original indices still active).
-        act = np.arange(num_pairs, dtype=np.int64)
-        ns, ms = ns_all, ms_all
-        kfin = ms - ns
-        hard_caps = 2 * p.gap_open + p.gap_extend * (ns + ms) + p.mismatch
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         step = p.score_granularity
         span = p.max_window_span()
         records: dict[int, _BatchRecord] = {}
 
-        def store_history(
-            s: int,
-            lo: np.ndarray,
-            hi: np.ndarray,
-            out_m: np.ndarray,
-            out_i: np.ndarray | None,
-            out_d: np.ndarray | None,
-            live_m: np.ndarray,
-            live_i: np.ndarray,
-            live_d: np.ndarray,
-        ) -> None:
-            if not self.keep_backtrace:
-                return
-            rows = np.flatnonzero(live_m)
-            for r, lo_r, hi_r, orig in zip(
-                rows.tolist(), lo[rows].tolist(), hi[rows].tolist(), act[rows].tolist()
+        def store_history(s: int, rec: _BatchRecord, live_m: np.ndarray) -> None:
+            # Every live pair keeps its three rows; an I or D row without a
+            # wavefront is all NULL, which backtrace reads as absent.
+            rows = live_m.nonzero()[0]
+            for r, orig, (lo_r, neg_hi) in zip(
+                rows.tolist(), live.act[rows].tolist(), rec.band_m[:, rows].T.tolist()
             ):
-                w = hi_r - lo_r + 1
-                # Copy the row slices: a view would pin the whole padded
+                hi_r = -neg_hi
+                # One copy per pair: a view would pin the whole padded
                 # batch array alive for the pair's entire history, which
                 # is exactly the memory blow-up banding exists to avoid.
-                hist_m[orig][s] = Wavefront(lo_r, hi_r, out_m[r, :w].copy())
-                if out_i is not None and live_i[r]:
-                    hist_i[orig][s] = Wavefront(lo_r, hi_r, out_i[r, :w].copy())
-                if out_d is not None and live_d[r]:
-                    hist_d[orig][s] = Wavefront(lo_r, hi_r, out_d[r, :w].copy())
+                snap = rec.mid[:, r, : hi_r - lo_r + 1].copy()
+                hist_m[orig][s] = Wavefront(lo_r, hi_r, snap[0])
+                hist_i[orig][s] = Wavefront(lo_r, hi_r, snap[1])
+                hist_d[orig][s] = Wavefront(lo_r, hi_r, snap[2])
 
-        def retire(done: np.ndarray, s: int, *, failed: bool = False) -> bool:
+        def retire(
+            done: np.ndarray, s: int, iterations: int, *, failed: bool = False
+        ) -> bool:
             """Finish ``done`` rows at score ``s``; True when batch is empty.
 
             ``failed`` rows (band loss / hard cap under banding) get a
             ``reached_end=False`` result instead of a backtrace.
             """
-            nonlocal act, ns, ms, kfin, hard_caps, last_live
-            if failed:
-                for r in np.flatnonzero(done):
-                    orig = int(act[r])
+            t0 = clock()
+            rows = done.nonzero()[0]
+            works = live.work(rows, iterations)
+            for orig, work in zip(live.act[rows].tolist(), works):
+                if failed:
                     results[orig] = WfaResult(
-                        score=-1, cigar=None, work=work_for(orig),
-                        reached_end=False,
+                        score=-1, cigar=None, work=work, reached_end=False
                     )
-                    hist_m[orig] = hist_i[orig] = hist_d[orig] = {}
-            else:
-                with prof.stage("backtrace"):
-                    for r in np.flatnonzero(done):
-                        orig = int(act[r])
-                        a, b = pairs[orig]
-                        cigar = (
-                            backtrace_wavefronts(
-                                a, b, hist_m[orig], hist_i[orig], hist_d[orig], s, p
-                            )
-                            if self.keep_backtrace
-                            else None
+                else:
+                    a, b = pairs[orig]
+                    cigar = (
+                        backtrace_wavefronts(
+                            a, b, hist_m[orig], hist_i[orig], hist_d[orig], s, p
                         )
-                        results[orig] = WfaResult(
-                            score=s, cigar=cigar, work=work_for(orig)
-                        )
-                        # History is per pair; free it as soon as it is spent.
-                        hist_m[orig] = hist_i[orig] = hist_d[orig] = {}
-            with prof.stage("retire"):
+                        if keep_backtrace
+                        else None
+                    )
+                    results[orig] = WfaResult(score=s, cigar=cigar, work=work)
+                # History is per pair; free it as soon as it is spent.
+                hist_m[orig] = hist_i[orig] = hist_d[orig] = {}
+            t1 = clock()
+            if not failed:
+                prof.add("backtrace", t1 - t0)
+            empty = rows.size == live.act.size
+            if not empty:
                 keep = ~done
-                act = act[keep]
-                ns, ms, kfin = ns[keep], ms[keep], kfin[keep]
-                hard_caps = hard_caps[keep]
-                last_live = last_live[keep]
+                live.compact(keep)
                 for rec in records.values():
                     rec.compact(keep)
-            return act.size == 0
+            prof.add("retire", clock() - t1)
+            return empty
 
         # -- s = 0: one M cell per pair at k = 0, offset 0, then extend. ----
-        lo0 = np.zeros(act.size, dtype=np.int64)
-        hi0 = np.zeros(act.size, dtype=np.int64)
-        with prof.stage("extend"):
-            ext0 = extend_kernel_batched(
-                a_words,
-                b_words,
-                act,
-                ns,
-                ms,
-                np.zeros((act.size, 1), dtype=np.int64),
-                lo0,
-            )
-        ext_cmp[act] += ext0.comparisons
-        ext_match[act] += ext0.matches
-        cells_alloc[act] += 1
-        peak_width[act] = 1
-        live_cells[act] += 1
-        peak_cells[act] = np.maximum(peak_cells[act], live_cells[act])
-        last_live = np.zeros(act.size, dtype=np.int64)
-        absent = np.full(act.size, BAND_ABSENT, dtype=np.int64)
-        null_col = np.full((act.size, 1), NULL_OFFSET, dtype=np.int64)
-        records[0] = _BatchRecord(
-            lo_m=lo0,
-            hi_m=hi0,
-            lo_i=absent,
-            hi_i=-absent,
-            lo_d=absent.copy(),
-            hi_d=-absent.copy(),
-            m=ext0.offsets,
-            i=null_col,
-            d=null_col.copy(),
-            row_cells=np.ones(act.size, dtype=np.int64),
+        t0 = clock()
+        mid = np.full((3, num_pairs, 2), NULL_OFFSET, dtype=np.int64)
+        mid[0, :, 0] = 0
+        zero = np.zeros(num_pairs, dtype=np.int64)
+        ext = extend_kernel_batched(
+            a_words, b_words, live.act, live.ns, live.ms, mid[0], zero, out=mid[0]
         )
-        alive = np.ones(act.size, dtype=bool)
-        store_history(0, lo0, hi0, ext0.offsets, None, None, alive, alive, alive)
-        done = (kfin == 0) & (ext0.offsets[:, 0] == ms)
-        if done.any() and retire(done, 0):
+        prof.add("extend", clock() - t0)
+        live.ext_cmp += ext.comparisons
+        live.ext_match += ext.matches
+        live.peak_width[:] = live.live_cells[:] = live.peak_cells[:] = 1
+        live0 = np.zeros((3, num_pairs), dtype=bool)
+        live0[0] = True
+        records[0] = _BatchRecord.build(mid, live0, np.stack((zero, zero)), zero + 1)
+        if keep_backtrace:
+            store_history(0, records[0], live0[0])
+        done = (live.kfin == 0) & (mid[0, :, 0] == live.ms)
+        if np.count_nonzero(done) and retire(done, 0, 0):
             return _finalize(results)
 
         # -- the lockstep score loop ----------------------------------------
         s = 0
+        iterations = 0  # scores attempted; every live pair saw all of them
         while True:
             s += step
             if self.max_score is not None and s > self.max_score:
                 merged = WfaWorkCounters()
-                for orig in act:
-                    merged.merge(work_for(int(orig)))
+                for work in live.work(np.arange(live.act.size), iterations):
+                    merged.merge(work)
                 raise ScoreLimitExceeded(s, self.max_score, merged)
-            over = s > hard_caps
-            if over.any():
-                if self.band_width is None:
+            if s > live.cap:
+                if band_width is None:
                     raise AssertionError(
                         "batched WFA failed to terminate below the hard score "
-                        f"cap {int(hard_caps.max())}"
+                        f"cap {int(live.caps.max())}"
                     )
-                if retire(over, s, failed=True):
+                if retire(s > live.caps, s, iterations, failed=True):
                     return _finalize(results)
-            score_iters[act] += 1
+            iterations += 1
 
             # Once a pair has had no wavefront for a full recurrence window
             # it can never produce one again: the band lost the optimal
             # path and every survivor ran off the matrix.
-            if self.band_width is not None:
-                band_dead = (s - last_live) > span
-                if band_dead.any() and retire(band_dead, s, failed=True):
+            if band_width is not None:
+                band_dead = (s - live.last_live) > span
+                if np.count_nonzero(band_dead) and retire(
+                    band_dead, s, iterations, failed=True
+                ):
                     return _finalize(results)
 
             # Drop batch records behind the recurrence window.  Safe even
@@ -386,8 +424,8 @@ class BatchedWfaAligner:
             horizon = s - span
             for key in [key for key in records if key < horizon]:
                 rec = records.pop(key)
-                if not self.keep_backtrace:
-                    live_cells[act] -= rec.row_cells
+                if not keep_backtrace:
+                    live.live_cells -= rec.row_cells
 
             rec_x = records.get(s - x)
             rec_oe = records.get(s - oe)
@@ -395,141 +433,107 @@ class BatchedWfaAligner:
             if rec_x is None and rec_oe is None and rec_e is None:
                 continue
 
-            with prof.stage("compute"):
-                los = [
-                    lo
-                    for lo in (
-                        rec_x.lo_m if rec_x is not None else None,
-                        rec_oe.lo_m if rec_oe is not None else None,
-                        rec_e.lo_i if rec_e is not None else None,
-                        rec_e.lo_d if rec_e is not None else None,
-                    )
-                    if lo is not None
-                ]
-                his = [
-                    hi
-                    for hi in (
-                        rec_x.hi_m if rec_x is not None else None,
-                        rec_oe.hi_m if rec_oe is not None else None,
-                        rec_e.hi_i if rec_e is not None else None,
-                        rec_e.hi_d if rec_e is not None else None,
-                    )
-                    if hi is not None
-                ]
-                src_lo = np.minimum.reduce(los)
-                src_hi = np.maximum.reduce(his)
-                lo_new = np.maximum(src_lo - 1, -ns)
-                hi_new = np.minimum(src_hi + 1, ms)
-                exists = (src_lo < BAND_ABSENT) & (lo_new <= hi_new)
-                if not exists.any():
-                    continue
-                lo_new = np.where(exists, lo_new, BAND_ABSENT)
-                hi_new = np.where(exists, hi_new, -BAND_ABSENT)
-                width = int((hi_new - lo_new).max()) + 1
-
-                def win(
-                    rec: _BatchRecord | None, which: str, shift: int, cols: int
-                ) -> np.ndarray:
-                    if rec is None:
-                        return np.full((act.size, cols), NULL_OFFSET, dtype=np.int64)
-                    data = getattr(rec, which)
-                    lo_src = getattr(rec, f"lo_{which}")
-                    hi_src = getattr(rec, f"hi_{which}")
-                    return gather_window_batched(
-                        data, lo_src, hi_src, lo_new, cols, shift
-                    )
-
-                ks = lo_new[:, None] + np.arange(width, dtype=np.int64)[None, :]
-                valid = (
-                    np.arange(width, dtype=np.int64)[None, :]
-                    <= (hi_new - lo_new)[:, None]
-                )
-                # One gather serves both gap-open sources: the k-1 and
-                # k+1 windows of M[s-o-e] are two slices of it.
-                m_oe = win(rec_oe, "m", -1, width + 2)
-                out = compute_kernel_batched(
-                    win(rec_x, "m", 0, width),
-                    m_oe[:, :width],
-                    win(rec_e, "i", -1, width),
-                    m_oe[:, 2:],
-                    win(rec_e, "d", +1, width),
-                    ks,
-                    ns[:, None],
-                    ms[:, None],
-                    valid,
-                )
-            w_rows = np.where(exists, hi_new - lo_new + 1, 0)
-            cells_comp[act] += 3 * w_rows
-            cells_alloc[act] += 3 * w_rows
-            if not out.live_m.any():
+            t0 = clock()
+            # The new band of each pair, as ``[lo, -hi]``: one wider than
+            # the union of its source bands, clipped to ``-n..m``.  Pairs
+            # without any source end up with a width below one.
+            band = None
+            for src in (
+                rec_x.band_m if rec_x is not None else None,
+                rec_oe.band_m if rec_oe is not None else None,
+                rec_e.band_id if rec_e is not None else None,
+            ):
+                if src is not None:
+                    band = src if band is None else np.minimum(band, src)
+            band = np.maximum(band - 1, live.bounds)
+            lo_new = band[0]
+            w_rows = 1 - np.add.reduce(band)
+            np.maximum(w_rows, 0, out=w_rows)
+            width = int(w_rows[w_rows.argmax()])
+            if width == 0:
+                prof.add("compute", clock() - t0)
                 continue
 
-            with prof.stage("extend"):
-                ext = extend_kernel_batched(
-                    a_words, b_words, act, ns, ms, out.m, lo_new
-                )
-            ext_cmp[act] += ext.comparisons
-            ext_match[act] += ext.matches
-            wf_steps[act] += out.live_m
-            peak_width[act] = np.maximum(
-                peak_width[act], np.where(out.live_m, w_rows, 0)
+            # Windows of the sources, one column wider than the band: that
+            # column is past every pair's band, so it computes NULL and
+            # becomes the new record's pad.  One index serves both
+            # gap-open sources: the k-1 and k+1 windows of M[s-o-e] are two
+            # slices of it; likewise I and D of M[s-e].
+            cols = width + 1
+            rows = live.act.size
+            if rec_x is not None:
+                m_x = rec_x.m_flat[rec_x.window(lo_new, cols, 0)]
+            else:
+                m_x = np.full((rows, cols), NULL_OFFSET, dtype=np.int64)
+            if rec_oe is not None:
+                m_oe = rec_oe.m_flat[rec_oe.window(lo_new, cols + 2, -1)]
+            else:
+                m_oe = np.full((rows, cols + 2), NULL_OFFSET, dtype=np.int64)
+            if rec_e is not None:
+                idx = rec_e.window(lo_new, cols + 2, -1)
+                i_e, d_e = rec_e.i_flat[idx], rec_e.d_flat[idx]
+            else:
+                i_e = d_e = np.full((rows, cols + 2), NULL_OFFSET, dtype=np.int64)
+            ks = lo_new[:, None] + np.arange(cols, dtype=np.int64)
+            out = compute_kernel_batched(
+                m_x,
+                m_oe[:, :cols],
+                i_e[:, :cols],
+                m_oe[:, 2:],
+                d_e[:, 2:],
+                ks,
+                live.ns[:, None],
+                live.ms[:, None],
             )
+            live.cells += 3 * w_rows
+            live_m = out.live[0]
+            t1 = clock()
+            prof.add("compute", t1 - t0)
+            if not np.count_nonzero(live_m):
+                continue
+
+            mid = out.mid
+            ext = extend_kernel_batched(
+                a_words, b_words, live.act, live.ns, live.ms, mid[0], lo_new,
+                out=mid[0],
+            )
+            prof.add("extend", clock() - t1)
+            live.ext_cmp += ext.comparisons
+            live.ext_match += ext.matches
+            live.wf_steps += live_m
+            np.maximum(live.peak_width, w_rows * live_m, out=live.peak_width)
 
             # Convergence: M reached offset m on the final diagonal.  The
             # check runs on the *full* wavefront, before any pruning, so
             # retiring pairs always feed an untrimmed step to backtrace.
-            cols = kfin - lo_new
-            in_band = (cols >= 0) & (cols <= hi_new - lo_new)
-            vals = ext.offsets[
-                np.arange(act.size), np.minimum(np.maximum(cols, 0), width - 1)
-            ]
-            done = out.live_m & in_band & (vals == ms)
+            # Diagonals outside a pair's band read its NULL pad.
+            end_col = np.minimum((live.kfin - lo_new).view(np.uint64), width)
+            end_col = end_col.view(np.int64)
+            end_col += np.arange(0, rows * cols, cols, dtype=np.int64)
+            done = mid[0].reshape(-1)[end_col] == live.ms
 
-            m_f, i_f, d_f = ext.offsets, out.i, out.d
-            lo_f, hi_f = lo_new, hi_new
-            live_m_f, live_i_f, live_d_f = out.live_m, out.live_i, out.live_d
-            if self.band_width is not None:
-                with prof.stage("band"):
-                    pr = band_prune_batched(
-                        ext.offsets, out.i, out.d, lo_new, hi_new,
-                        self.band_width, done,
-                    )
-                    m_f, i_f, d_f = pr.m, pr.i, pr.d
-                    lo_f, hi_f = pr.lo, pr.hi
-                    band_pruned[act] += pr.pruned
-                    # A matrix can go empty once trimmed; liveness (and so
-                    # storage) is re-derived from the pruned arrays.
-                    live_m_f = (m_f >= 0).any(axis=1)
-                    live_i_f = (i_f >= 0).any(axis=1)
-                    live_d_f = (d_f >= 0).any(axis=1)
+            live_f, w_f = out.live, w_rows
+            if band_width is not None:
+                t0 = clock()
+                pr = band_prune_batched(mid, lo_new, -band[1], band_width, done)
+                if pr.mid is not mid:
+                    mid = pr.mid
+                    band = np.stack((pr.lo, -pr.hi))
+                    w_f = pr.hi - pr.lo + 1
+                    live.pruned += pr.pruned
+                    # A matrix can go empty once trimmed; liveness (and
+                    # so storage) is re-derived from the pruned arrays.
+                    live_f = mid.max(axis=2) >= 0
+                np.copyto(live.last_live, s, where=live_f[0])
+                prof.add("band", clock() - t0)
 
-            w_f = np.where(live_m_f, hi_f - lo_f + 1, 0)
-            records[s] = _BatchRecord(
-                lo_m=np.where(live_m_f, lo_f, BAND_ABSENT),
-                hi_m=np.where(live_m_f, hi_f, -BAND_ABSENT),
-                lo_i=np.where(live_i_f, lo_f, BAND_ABSENT),
-                hi_i=np.where(live_i_f, hi_f, -BAND_ABSENT),
-                lo_d=np.where(live_d_f, lo_f, BAND_ABSENT),
-                hi_d=np.where(live_d_f, hi_f, -BAND_ABSENT),
-                m=m_f,
-                i=i_f,
-                d=d_f,
-                row_cells=w_f
-                * (
-                    live_m_f.astype(np.int64)
-                    + live_i_f.astype(np.int64)
-                    + live_d_f.astype(np.int64)
-                ),
-            )
-            store_history(
-                s, lo_f, hi_f, m_f, i_f, d_f,
-                live_m_f, live_i_f, live_d_f,
-            )
-            live_cells[act] += records[s].row_cells
-            peak_cells[act] = np.maximum(peak_cells[act], live_cells[act])
-            last_live = np.where(live_m_f, s, last_live)
+            rec = records[s] = _BatchRecord.build(mid, live_f, band, w_f)
+            if keep_backtrace:
+                store_history(s, rec, live_f[0])
+            live.live_cells += rec.row_cells
+            np.maximum(live.peak_cells, live.live_cells, out=live.peak_cells)
 
-            if done.any() and retire(done, s):
+            if np.count_nonzero(done) and retire(done, s, iterations):
                 return _finalize(results)
 
 

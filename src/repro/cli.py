@@ -45,7 +45,6 @@ Installed as ``repro-wfasic`` (see ``pyproject.toml``); also runnable as
 from __future__ import annotations
 
 import argparse
-import asyncio
 import functools
 import json
 import signal
@@ -55,7 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .align import DEFAULT_PENALTIES, AffinePenalties
 from .engine import (
@@ -86,7 +85,6 @@ from .obs import (
     validate_metrics_snapshot,
 )
 from .reporting import format_table
-from .serve import AlignmentServer, ServeClient, ServeConfig
 from .soc import Soc
 from .verify import EquivalenceChecker
 from .wfasic import WfasicConfig, asic_report, configs_within_budget
@@ -102,13 +100,16 @@ from .workloads import (
     write_seq_file,
 )
 
+if TYPE_CHECKING:
+    from .serve import ServeConfig
+
 __all__ = ["main", "build_parser", "format_cli_reference"]
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """The engine-configuration flags shared by ``batch`` and ``serve``."""
     parser.add_argument(
-        "--backend", choices=backend_names(), default="vectorized"
+        "--backend", choices=backend_names(), default="batched"
     )
     parser.add_argument("-j", "--workers", type=int, default=1)
     parser.add_argument("--chunk-size", type=int, default=16)
@@ -662,14 +663,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             if args.stream_chunk is not None:
                 # Bounded-memory ingestion: one long-lived engine (its
                 # cache and pool persist), one batch per streamed chunk,
-                # the reports folded into a single summary at the end.
+                # each report folded into one running summary as it lands.
                 # Ctrl-C / SIGTERM mid-stream must neither leak the
                 # engine's worker pool nor drop the chunks already
                 # aligned: the interrupt is caught *inside* the engine's
                 # context manager (teardown still runs) and the partial
                 # merged report is printed below.
                 rows: list[dict] = []
-                reports = []
+                running = None
                 stream_start = time.perf_counter()
                 with _interruptible():
                     try:
@@ -677,11 +678,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                             stream_pairs(args.input), args.stream_chunk
                         ):
                             result = engine.align_batch(chunk)
-                            reports.append(result.report)
+                            running = (
+                                result.report
+                                if running is None
+                                else merge_batch_reports([running, result.report])
+                            )
                             rows += _outcome_rows(chunk, result.outcomes)
                     except KeyboardInterrupt:
                         interrupted = True
-                if not reports:
+                if running is None:
                     if interrupted:
                         print("interrupted before any chunk completed",
                               file=sys.stderr)
@@ -692,7 +697,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 # the sum would drop the streaming/reading gaps between
                 # batches and overstate pairs/s.
                 report = merge_batch_reports(
-                    reports,
+                    [running],
                     wall_seconds=time.perf_counter() - stream_start,
                 )
             else:
@@ -774,6 +779,10 @@ async def _serve_session(
     args: argparse.Namespace,
 ) -> BatchReport | None:
     """Run one serve session until SIGINT/SIGTERM; the merged report."""
+    import asyncio
+
+    from .serve import AlignmentServer
+
     server = AlignmentServer(
         config, serve_config, host=args.host, port=args.port
     )
@@ -815,6 +824,10 @@ async def _serve_session(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from .serve import ServeConfig
+
     try:
         config = _engine_config_from_args(args)
         serve_config = ServeConfig(
@@ -860,6 +873,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from .serve import ServeClient
+
     try:
         client = ServeClient(args.host, args.port)
     except (ConnectionError, OSError) as exc:

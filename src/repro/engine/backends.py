@@ -8,21 +8,18 @@ that only plain strings and dataclasses ever cross a process boundary —
 the worker side of the engine looks the backend up again in its own
 process (see :mod:`repro.engine.engine`).
 
-Five backends ship with the repository.  Three are software WFAs, each
+Four backends ship with the repository.  Two are software WFAs, each
 an instance of :class:`SoftwareWfaBackend` that owns the chunk loop,
 the band-then-exact retry and the ``band_fallbacks`` /
 ``peak_wavefront_bytes`` counters; they differ only in how they build
 an aligner and run pairs through it:
 
-* ``scalar`` — the readable reference WFA (:class:`repro.align.WfaAligner`),
-  pair by pair, banded on request,
-* ``vectorized`` — the numpy whole-wavefront WFA (the RVV-code analog),
-  pair by pair, with no band and no peak-memory counter,
 * ``batched`` — the cross-pair batched WFA
-  (:class:`repro.align.BatchedWfaAligner`): the whole chunk advances in
-  lockstep through shared 2D kernels, with a per-process pack cache so
-  repeated sequences skip string->uint8 packing, and its stage profile
-  (pack/compute/extend/backtrace) returned with the chunk.
+  (:class:`repro.align.BatchedWfaAligner`), the default: the whole chunk
+  advances in lockstep through shared 2D kernels, and its stage profile
+  (pack/compute/extend/backtrace) is returned with the chunk,
+* ``scalar`` — the readable reference WFA (:class:`repro.align.WfaAligner`),
+  pair by pair, banded on request.
 
 The other two:
 
@@ -42,13 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..align.packing import PackCache
 from ..align.penalties import AffinePenalties
 from ..align.profile import StageProfiler
 from ..align.swg import SwgResult, swg_align
 from ..align.wfa import WfaAligner, WfaResult
 from ..align.wfa_batched import BatchedWfaAligner
-from ..align.wfa_vectorized import VectorizedWfaAligner
 
 __all__ = [
     "PairOutcome",
@@ -209,10 +204,7 @@ class SoftwareWfaBackend(AlignmentBackend):
                     results[i] = res
                     peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
             profiler.count("band_fallbacks", len(failed))
-        # ``vectorized`` does not track the peak (it reports 0): leave the
-        # counter out rather than publish a zero.
-        if any(peaks):
-            profiler.count("peak_wavefront_bytes", sum(peaks))
+        profiler.count("peak_wavefront_bytes", sum(peaks))
         outcomes = [
             _outcome(slot, res, backtrace)
             for (slot, _, _), res in zip(items, results)
@@ -220,13 +212,8 @@ class SoftwareWfaBackend(AlignmentBackend):
         return outcomes, profiler.as_dict()
 
 
-def _pairwise(aligner: WfaAligner | VectorizedWfaAligner) -> PairRunner:
+def _pairwise(aligner: WfaAligner) -> PairRunner:
     return lambda pairs: [aligner.align(a, b) for a, b in pairs]
-
-
-#: Per-process padded-row cache shared by every batched chunk this worker
-#: runs: the serving mix repeats sequences, so later chunks skip packing.
-_PACK_CACHE = PackCache(capacity=8192)
 
 
 class SwgBackend(AlignmentBackend):
@@ -337,22 +324,13 @@ for _backend in (
         ),
         supports_band=True,
     ),
-    # The numpy whole-wavefront WFA, pair by pair; it has no band.
-    SoftwareWfaBackend(
-        "vectorized",
-        lambda penalties, backtrace, _band, _profiler: _pairwise(
-            VectorizedWfaAligner(penalties, keep_backtrace=backtrace)
-        ),
-        supports_band=False,
-    ),
-    # The whole chunk in lockstep through the shared pack cache; the
-    # aligner's pack/compute/extend/backtrace profile rides back with it.
+    # The whole chunk in lockstep; the aligner's
+    # pack/compute/extend/backtrace profile rides back with it.
     SoftwareWfaBackend(
         "batched",
         lambda penalties, backtrace, band, profiler: BatchedWfaAligner(
             penalties,
             keep_backtrace=backtrace,
-            pack_cache=_PACK_CACHE,
             profiler=profiler,
             band_width=band,
         ).align_batch,

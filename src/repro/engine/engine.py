@@ -83,15 +83,17 @@ class EngineConfig:
     Attributes
     ----------
     backend:
-        Name of a registered backend (``scalar``, ``vectorized``,
-        ``batched``, ``swg``, ``wfasic``, or anything added via
-        :func:`repro.engine.register_backend`).
+        Name of a registered backend (``batched``, the default and the
+        fastest software WFA; ``scalar``, ``swg``, ``wfasic``; or
+        anything added via :func:`repro.engine.register_backend`).
     workers:
         Worker processes.  ``1`` (the default) runs everything
         in-process — the serial path, with no pool and no IPC.
     chunk_size:
-        Pairs per dispatched chunk.  Larger chunks amortise IPC but
-        reduce load-balancing granularity.
+        Pairs per dispatched chunk, and so the lockstep width of the
+        ``batched`` aligner.  Larger chunks amortise IPC and per-step
+        cost but reduce load-balancing granularity and hold more
+        wavefronts at once.
     penalties:
         Gap-affine penalties applied to every pair.
     backtrace:
@@ -133,7 +135,7 @@ class EngineConfig:
         declaring ``supports_band`` accept it.
     """
 
-    backend: str = "vectorized"
+    backend: str = "batched"
     workers: int = 1
     chunk_size: int = 16
     penalties: AffinePenalties = field(default_factory=lambda: DEFAULT_PENALTIES)
@@ -202,9 +204,11 @@ class BatchReport:
     coalesced: int
     elapsed_seconds: float
     #: SWG-equivalent DP cells of the batch's *served* pairs (cache hits
-    #: included: the engine served them, whatever the mechanism; pairs
-    #: rejected or errored at the engine level are excluded, so GCUPS
-    #: never counts work that was not done).
+    #: included: the engine served them, whatever the mechanism).  Pairs
+    #: without an alignment — rejected or errored at the engine level, or
+    #: answered unsupported (``success=False``) by a backend such as
+    #: ``wfasic`` — are excluded, so GCUPS never counts work that was not
+    #: done.
     swg_cells: int
     #: Pairs whose outcome is an engine error (``ok=False``: validation
     #: rejection, backend exception, chunk timeout, lost worker).
@@ -220,7 +224,7 @@ class BatchReport:
     band_fallbacks: int = 0
     #: Sum over aligned pairs of each pair's peak live wavefront bytes
     #: (``BYTES_PER_CELL`` per stored cell) as reported by band-capable
-    #: backends — the capacity-planning number behind the banding PR.
+    #: backends — the capacity-planning number behind adaptive banding.
     #: 0 when the backend does not report it.
     peak_wavefront_bytes: int = 0
     worker_stats: list[WorkerStats] = field(default_factory=list)
@@ -653,8 +657,9 @@ class BatchAlignmentEngine:
             swg_cells=sum(
                 swg_equivalent_cells(len(a), len(b))
                 for (a, b), o in zip(sequences, outcomes)
-                # Served pairs only: engine-level rejects/errors did no work.
-                if o.ok and o.error_kind is None
+                # Aligned pairs only: rejects, errors and unsupported
+                # reads did no work.
+                if o.success
             ),
             band_fallbacks=int(
                 profile_dict.get("band_fallbacks", {}).get("calls", 0)

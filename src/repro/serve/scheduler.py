@@ -156,8 +156,10 @@ class MicroBatcher:
         self._wake = asyncio.Event()
         self._task: "asyncio.Task[None] | None" = None
         self._draining = False
-        #: Per-batch engine reports of the session, in dispatch order.
-        self.reports: list[BatchReport] = []
+        #: The session's engine reports folded into one as batches land
+        #: (``None`` before the first): memory stays flat however long
+        #: the server runs.
+        self._running: BatchReport | None = None
         self._started = time.perf_counter()
 
     # -- lifecycle -----------------------------------------------------
@@ -195,10 +197,10 @@ class MicroBatcher:
         overlap with idle time and with each other, so summing their
         wall-times would fabricate the derived rates.
         """
-        if not self.reports:
+        if self._running is None:
             return None
         return merge_batch_reports(
-            self.reports,
+            [self._running],
             wall_seconds=time.perf_counter() - self._started,
         )
 
@@ -374,7 +376,11 @@ class MicroBatcher:
                         )
                     )
             else:
-                self.reports.append(result.report)
+                self._running = (
+                    result.report
+                    if self._running is None
+                    else merge_batch_reports([self._running, result.report])
+                )
                 done = time.perf_counter()
                 latency = registry.histogram(
                     "serve_request_latency_seconds",

@@ -1,10 +1,7 @@
-"""Unit tests for batch sequence packing and the pack cache."""
-
-import numpy as np
-import pytest
+"""Unit tests for batch sequence packing."""
 
 from repro.align.kernels import pad_sequence
-from repro.align.packing import PackCache, pack_batch, pack_rows
+from repro.align.packing import pack_batch
 
 
 class TestPackBatch:
@@ -26,63 +23,3 @@ class TestPackBatch:
         a = pack_batch(["AC"], sentinel=0xFF)
         b = pack_batch(["AC"], sentinel=0xFE)
         assert (a[0, 2:] != b[0, 2:]).all()
-
-
-class TestPackCache:
-    def test_hit_miss_accounting(self):
-        cache = PackCache()
-        pack_rows(["AC", "GT", "AC"], sentinel=0xFF, cache=cache)
-        assert cache.misses == 2
-        assert cache.hits == 1
-        pack_rows(["AC"], sentinel=0xFF, cache=cache)
-        assert cache.hits == 2
-
-    def test_sentinel_is_part_of_the_key(self):
-        cache = PackCache()
-        cache.row("ACGT", 0xFF)
-        cache.row("ACGT", 0xFE)
-        assert cache.misses == 2
-        assert len(cache) == 2
-
-    def test_lru_eviction(self):
-        cache = PackCache(capacity=2)
-        cache.row("A", 0xFF)
-        cache.row("C", 0xFF)
-        cache.row("A", 0xFF)  # refresh A
-        cache.row("G", 0xFF)  # evicts C
-        assert len(cache) == 2
-        cache.row("C", 0xFF)
-        assert cache.misses == 4  # C was re-packed
-
-    def test_zero_capacity_disables_storage(self):
-        cache = PackCache(capacity=0)
-        cache.row("ACGT", 0xFF)
-        cache.row("ACGT", 0xFF)
-        assert len(cache) == 0
-        assert cache.misses == 2
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PackCache(capacity=-1)
-
-    def test_clear_keeps_counters(self):
-        cache = PackCache()
-        cache.row("ACGT", 0xFF)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.misses == 1
-
-    def test_cached_row_identity(self):
-        cache = PackCache()
-        r1 = cache.row("ACGT", 0xFF)
-        r2 = cache.row("ACGT", 0xFF)
-        assert r1 is r2
-        assert not r1.flags.writeable
-
-    def test_batch_through_cache_equals_uncached(self):
-        cache = PackCache()
-        seqs = ["ACGT", "AC", "ACGT"]
-        assert (
-            pack_batch(seqs, sentinel=0xFF, cache=cache)
-            == pack_batch(seqs, sentinel=0xFF)
-        ).all()

@@ -8,7 +8,6 @@ import pytest
 from repro.align import (
     AffinePenalties,
     BatchedWfaAligner,
-    PackCache,
     ScoreLimitExceeded,
     StageProfiler,
     WfaAligner,
@@ -136,15 +135,6 @@ class TestOptions:
                 [("AAAA", "AAAA"), ("A" * 30, "T" * 30)]
             )
 
-    def test_pack_cache_reused_across_batches(self):
-        cache = PackCache()
-        aligner = BatchedWfaAligner(PEN, pack_cache=cache)
-        pairs = [("ACGTACGT", "ACGAACGT"), ("TTTT", "TTAT")]
-        aligner.align_batch(pairs)
-        assert cache.misses == 4 and cache.hits == 0
-        aligner.align_batch(pairs)
-        assert cache.misses == 4 and cache.hits == 4
-
     def test_profiler_records_stages(self):
         prof = StageProfiler()
         aligner = BatchedWfaAligner(PEN, profiler=prof)
@@ -153,12 +143,6 @@ class TestOptions:
         for stage in ("pack", "compute", "extend", "backtrace", "retire"):
             assert stage in stages, stages
             assert stages[stage]["calls"] >= 1
-
-    def test_cached_rows_are_read_only(self):
-        cache = PackCache()
-        row = cache.row("ACGT", 0xFF)
-        with pytest.raises(ValueError):
-            row[0] = 0
 
 
 class TestLongerReads:

@@ -17,9 +17,13 @@ from tests.util import assert_valid_cigar, random_pair
 
 class TestRegistry:
     def test_shipped_backends_present(self):
-        assert {"scalar", "vectorized", "batched", "swg", "wfasic"} <= set(
+        assert {"scalar", "batched", "swg", "wfasic"} <= set(
             backend_names()
         )
+
+    def test_vectorized_aligner_is_not_a_backend(self):
+        # ``batched`` is the one software WFA on the serving path.
+        assert "vectorized" not in backend_names()
 
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(KeyError, match="scalar"):
@@ -57,7 +61,7 @@ class TestBackendContracts:
         return items
 
     @pytest.mark.parametrize(
-        "name", ["scalar", "vectorized", "batched", "swg", "wfasic"]
+        "name", ["scalar", "batched", "swg", "wfasic"]
     )
     def test_scores_match_oracle(self, name, chunk):
         outcomes, _ = get_backend(name).align_chunk(
@@ -70,7 +74,7 @@ class TestBackendContracts:
             assert outcome.cigar is None  # backtrace off
 
     @pytest.mark.parametrize(
-        "name", ["scalar", "vectorized", "batched", "swg", "wfasic"]
+        "name", ["scalar", "batched", "swg", "wfasic"]
     )
     def test_backtrace_cigars_valid(self, name, chunk):
         outcomes, _ = get_backend(name).align_chunk(
@@ -124,13 +128,3 @@ class TestBatchedBackendSpecifics:
         )
         assert outcomes[0].score == 0
         assert profile is None
-
-    def test_pack_cache_shared_across_chunks(self):
-        from repro.engine.backends import _PACK_CACHE
-
-        backend = get_backend("batched")
-        items = [(0, "ACGTACGTAA", "ACGTACGTAA")]
-        backend.align_chunk(items, DEFAULT_PENALTIES, backtrace=False)
-        hits_before = _PACK_CACHE.hits
-        backend.align_chunk(items, DEFAULT_PENALTIES, backtrace=False)
-        assert _PACK_CACHE.hits >= hits_before + 2  # pattern + text rows

@@ -46,8 +46,6 @@ def _workload(seed: int, count: int = 24) -> list[tuple[str, str]]:
 class TestConfigValidation:
     def test_band_needs_capable_backend(self):
         with pytest.raises(ValueError, match="does not support band_width"):
-            EngineConfig(backend="vectorized", band_width=8)
-        with pytest.raises(ValueError, match="does not support band_width"):
             EngineConfig(backend="swg", band_width=8)
 
     def test_band_width_must_be_positive(self):
@@ -62,7 +60,7 @@ class TestConfigValidation:
     def test_supports_band_flags(self):
         assert backends_mod.get_backend("scalar").supports_band
         assert backends_mod.get_backend("batched").supports_band
-        assert not backends_mod.get_backend("vectorized").supports_band
+        assert not backends_mod.get_backend("swg").supports_band
 
 
 class TestBandedOutcomes:

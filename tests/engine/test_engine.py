@@ -35,7 +35,7 @@ class TestConfigValidation:
 
 class TestSerialPath:
     def test_scores_in_input_order(self, pairs):
-        res = align_pairs(pairs, backend="vectorized")
+        res = align_pairs(pairs, backend="batched")
         expected = [swg_align(p.pattern, p.text).score for p in pairs]
         assert res.scores == expected
         assert [o.slot for o in res.outcomes] == list(range(len(pairs)))
@@ -52,7 +52,7 @@ class TestSerialPath:
         assert res.report.cache_hit_rate == 0.0
 
     def test_report_counters(self, pairs):
-        res = align_pairs(pairs, backend="vectorized", chunk_size=3)
+        res = align_pairs(pairs, backend="batched", chunk_size=3)
         rep = res.report
         assert rep.num_pairs == len(pairs)
         assert rep.pairs_aligned == len(pairs)
@@ -67,8 +67,8 @@ class TestSerialPath:
 
     def test_report_profile_stages(self, pairs):
         # Engine-side stages are always recorded; backend stages join in
-        # when the backend reports them (the batched path does).
-        rep = align_pairs(pairs, backend="vectorized").report
+        # when the backend reports them (the batched path does, swg not).
+        rep = align_pairs(pairs, backend="swg").report
         for stage in ("resolve", "dispatch", "ipc", "gather"):
             assert stage in rep.profile, rep.profile
         assert rep.as_dict()["profile"] == rep.profile
@@ -81,15 +81,15 @@ class TestSerialPath:
 
 class TestParallelPath:
     def test_matches_serial(self, pairs):
-        serial = align_pairs(pairs, backend="vectorized", workers=1)
+        serial = align_pairs(pairs, backend="batched", workers=1)
         parallel = align_pairs(
-            pairs, backend="vectorized", workers=2, chunk_size=2
+            pairs, backend="batched", workers=2, chunk_size=2
         )
         assert parallel.scores == serial.scores
         assert parallel.report.workers == 2
 
     def test_pool_reused_across_batches(self, pairs):
-        config = EngineConfig(backend="vectorized", workers=2, chunk_size=4)
+        config = EngineConfig(backend="batched", workers=2, chunk_size=4)
         with BatchAlignmentEngine(config) as engine:
             first = engine.align_batch(pairs)
             pool = engine._pool

@@ -31,6 +31,7 @@ from repro.engine import (
     register_backend,
 )
 from repro.engine.backends import _BACKENDS, PairOutcome
+from repro.metrics.cups import swg_equivalent_cells
 from repro.engine.validation import (
     ERROR_BACKEND,
     ERROR_INVALID_BASE,
@@ -160,7 +161,7 @@ class TestValidationIsolation:
             ("AAAA", "TTTT"),     # good
         ]
         res = align_pairs(
-            batch, backend="vectorized", workers=workers, chunk_size=1,
+            batch, backend="batched", workers=workers, chunk_size=1,
             cache_size=0,
         )
         assert [o.ok for o in res.outcomes] == [True, True, True, False, True]
@@ -184,6 +185,14 @@ class TestValidationIsolation:
     def test_rejected_pairs_excluded_from_gcups_cells(self):
         res = align_pairs([("ACGT", "ACGT"), ("ACGN", "ACGN")])
         assert res.report.swg_cells == 16  # only the served pair counts
+
+    def test_unsupported_reads_excluded_from_gcups_cells(self):
+        # The wfasic backend answers a read past its MAX_READ_LEN with
+        # success=0 and never aligns it: no work to count.
+        short = ("ACGTACGT", "ACGAACGT")
+        res = align_pairs([short, ("A" * 10_001, "A" * 10_001)], backend="wfasic")
+        assert res.outcomes[0].success and not res.outcomes[1].success
+        assert res.report.swg_cells == swg_equivalent_cells(8, 8)
 
     def test_engine_max_read_len_policy(self):
         res = align_pairs(
@@ -214,7 +223,7 @@ class TestFaultIsolationInvariant:
         for i, seq in enumerate(bad):
             batch.insert((seed + i) % (len(batch) + 1), (seq, "ACGT"))
         res = align_pairs(
-            batch, backend="vectorized", backtrace=True, cache_size=0
+            batch, backend="batched", backtrace=True, cache_size=0
         )
         assert len(res.outcomes) == len(batch)
         for (a, b), outcome in zip(batch, res.outcomes):
@@ -222,7 +231,7 @@ class TestFaultIsolationInvariant:
                 assert not outcome.ok or not outcome.success
                 continue
             solo = align_pairs(
-                [(a, b)], backend="vectorized", backtrace=True, cache_size=0
+                [(a, b)], backend="batched", backtrace=True, cache_size=0
             ).outcomes[0]
             assert (outcome.score, outcome.success, outcome.cigar) == (
                 solo.score, solo.success, solo.cigar

@@ -16,7 +16,7 @@ from repro.engine.engine import BatchReport
 
 def report(elapsed, num_pairs=10, swg_cells=1_000_000, busy=None):
     return BatchReport(
-        backend="vectorized",
+        backend="batched",
         workers=2,
         num_pairs=num_pairs,
         pairs_aligned=num_pairs,

@@ -8,11 +8,14 @@ engine.  The socket/connection layer has its own suite in
 """
 
 import asyncio
+import dataclasses
 import time
+from collections import deque
 
 import pytest
 
 from repro.engine import BatchAlignmentEngine, EngineConfig
+from repro.engine.engine import BatchReport, merge_batch_reports
 from repro.obs import MetricsRegistry
 from repro.serve import (
     ERROR_DEADLINE,
@@ -209,6 +212,35 @@ class TestSessionReport:
         assert report.num_pairs == 2
         # Wall span includes the idle gap; the per-batch sum cannot.
         assert report.elapsed_seconds >= 0.05
+
+    def test_folds_reports_without_keeping_them(self):
+        reports = []
+
+        async def go(batcher):
+            align_batch = batcher.engine.align_batch
+
+            def recording(pairs):
+                result = align_batch(pairs)
+                reports.append(result.report)
+                return result
+
+            batcher.engine.align_batch = recording
+            for i, (p, t) in enumerate(PAIRS * 2):
+                await batcher.submit(request(i, p, t))
+            # Memory stays flat: nothing on the batcher holds the
+            # per-batch reports.
+            for value in vars(batcher).values():
+                if isinstance(value, (list, tuple, deque)):
+                    assert not any(isinstance(v, BatchReport) for v in value)
+            return batcher.session_report()
+
+        session = run_batcher(go, ServeConfig(batch_window=0.0))
+        assert len(reports) == 2 * len(PAIRS)
+        expected = merge_batch_reports(
+            reports, wall_seconds=session.elapsed_seconds
+        )
+        for f in dataclasses.fields(BatchReport):
+            assert getattr(session, f.name) == getattr(expected, f.name), f.name
 
 
 def _pending(loop, i):

@@ -119,7 +119,7 @@ class TestBatch:
         return str(out)
 
     def test_tsv_output(self, seq_file, capsys):
-        assert main(["batch", seq_file, "--backend", "vectorized"]) == 0
+        assert main(["batch", seq_file, "--backend", "batched"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l and "=" not in l]
         assert lines[0] == "pair_id\tscore\tsuccess\tcigar"
@@ -446,7 +446,7 @@ class TestBatchBandingAndStreaming:
 
     def test_band_rejected_for_incapable_backend(self, seq_file, capsys):
         assert main([
-            "batch", seq_file, "--backend", "vectorized", "--band", "8",
+            "batch", seq_file, "--backend", "swg", "--band", "8",
         ]) == 2
         assert "band" in capsys.readouterr().err
 
