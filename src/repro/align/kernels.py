@@ -43,7 +43,7 @@ __all__ = [
     "extend_kernel",
     "compute_kernel_batched",
     "extend_kernel_batched",
-    "gather_window_batched",
+    "window_columns",
     "pad_sequence",
     "sequence_words",
 ]
@@ -247,58 +247,27 @@ class BatchedExtendOutput:
     comparisons: np.ndarray  # int64 (pairs,): scalar-equivalent compares
 
 
-def gather_window_batched(
-    data: np.ndarray,
-    lo_src: np.ndarray,
-    hi_src: np.ndarray,
-    lo_new: np.ndarray,
-    width: int,
-    shift: int,
+def window_columns(
+    lo_src: np.ndarray, w_src: int, lo_new: np.ndarray, width: int, shift: int
 ) -> np.ndarray:
-    """Per-pair shifted band windows out of a batched wavefront.
+    """Columns of per-pair shifted windows in a NULL-padded wavefront.
 
-    ``data`` is a ``(pairs, W_src)`` wavefront whose row ``p`` covers
-    diagonals ``lo_src[p]..hi_src[p]`` (``lo_src[p] == BAND_ABSENT`` for
-    pairs without a wavefront).  The result is ``(pairs, width)`` with
-    ``out[p, t] = data[p, (lo_new[p] + t + shift) - lo_src[p]]`` where
-    that index lands inside the pair's band and NULL_OFFSET elsewhere —
-    the batched analog of :meth:`repro.align.wfa.Wavefront.window`, and
-    of the hardware's banked per-section RAM addressing (Fig. 6).
+    The source is ``(pairs, w_src + 1)``: row ``p`` covers diagonals from
+    ``lo_src[p]``, every cell past the pair's band is NULL_OFFSET (a row
+    without a wavefront is all NULL), and column ``w_src`` is a NULL pad.
+    Entry ``[p, t]`` is the column of diagonal ``lo_new[p] + t + shift``
+    in row ``p``, or ``w_src`` when that diagonal falls outside
+    ``0..w_src - 1``.  So ``np.take_along_axis(source, cols, axis=1)`` is
+    the ``(pairs, width)`` window, NULL outside each band — the batched
+    analog of :meth:`repro.align.wfa.Wavefront.window`, and of the
+    hardware's banked per-section RAM addressing (Fig. 6).  One index
+    serves every matrix stored in that layout.  Viewed as unsigned, a
+    negative column is huge, so one ``minimum`` clamps both ends.
     """
-    idx = _window_index(lo_src, hi_src, data.shape[1], lo_new, width, shift)
-    return _take_window(data, idx)
-
-
-def _window_index(
-    lo_src: np.ndarray,
-    hi_src: np.ndarray,
-    w_src: int,
-    lo_new: np.ndarray,
-    width: int,
-    shift: int,
-) -> np.ndarray:
-    """Flat indices of a :func:`gather_window_batched` window.
-
-    They index the source as :func:`_take_window` pads it: one NULL
-    column appended to each row, which out-of-band cells point at.
-    Viewed as unsigned, a negative index is huge, so one comparison
-    against the band width catches both ends.  Sources of equal shape
-    and band share one index.
-    """
-    band = np.minimum(np.maximum(hi_src - lo_src + 1, 0), w_src)
-    idx = (lo_new + (shift - lo_src))[:, None] + np.arange(width, dtype=np.int64)
-    idx = np.where(idx.view(np.uint64) < band.view(np.uint64)[:, None], idx, w_src)
-    idx += np.arange(0, len(idx) * (w_src + 1), w_src + 1, dtype=np.int64)[:, None]
-    return idx
-
-
-def _take_window(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The window at :func:`_window_index` ``idx``: one flat ``take``."""
-    pairs, w_src = data.shape
-    src = np.empty((pairs, w_src + 1), dtype=np.int64)
-    src[:, :w_src] = data
-    src[:, w_src] = NULL_OFFSET
-    return src.take(idx)
+    cols = (lo_new + (shift - lo_src))[:, None] + np.arange(width, dtype=np.int64)
+    unsigned = cols.view(np.uint64)
+    np.minimum(unsigned, w_src, out=unsigned)
+    return cols
 
 
 def compute_kernel_batched(
@@ -316,7 +285,7 @@ def compute_kernel_batched(
 
     The 2D counterpart of :func:`compute_kernel`: every input is
     ``(pairs, width)`` with row ``p`` aligned to that pair's band (use
-    :func:`gather_window_batched` to build the shifted source windows),
+    :func:`window_columns` to cut the shifted source windows),
     ``ks[p, t]`` is the diagonal of cell ``(p, t)``, and ``ns``/``ms``
     are per-pair sequence lengths broadcastable against the cells (pass
     column vectors).  ``valid`` optionally masks padding columns.  A
@@ -342,7 +311,8 @@ def compute_kernel_batched(
 
     np.maximum(mwf, ins, out=mwf)
     np.maximum(mwf, dele, out=mwf)
-    return BatchedComputeOutput(mid=mid, live=mid.max(axis=2) >= 0)
+    live = mid.max(axis=2, initial=NULL_OFFSET) >= 0
+    return BatchedComputeOutput(mid=mid, live=live)
 
 
 @dataclass(frozen=True)
@@ -395,12 +365,13 @@ def band_prune_batched(
     outside = (ks < blo[:, None]) | (ks > bhi[:, None])
     pruned = ((mid >= 0) & outside).sum(axis=(0, 2))
 
+    # Null what the new bands drop, so each row is NULL past its band
+    # and the windows can be cut in the padded layout; the extra column
+    # lands past every band, on the source's pad.
     new_width = int((bhi - blo).max()) + 1
-    # ``bhi <= hi``, so gathering with ``bhi`` as the source band end
-    # also nulls the cells of a pruned row past its new window; the
-    # extra column lands past every band, on the source's pad.
-    idx = _window_index(lo, bhi, pad, blo, new_width + 1, 0)
-    flat = mid.reshape(3, -1)
+    idx = window_columns(lo, pad, blo, new_width + 1, 0)
+    idx += np.arange(0, len(lo) * (pad + 1), pad + 1, dtype=np.int64)[:, None]
+    flat = np.where(outside, NULL_OFFSET, mid).reshape(3, -1)
     out = np.empty((3, *idx.shape), dtype=np.int64)
     for src, dst in zip(flat, out):
         np.take(src, idx, out=dst)
@@ -429,7 +400,7 @@ def extend_kernel_batched(
     extended offsets go to ``out``, a C-contiguous int64 array of the
     same shape that may be ``offsets`` itself (default: a new array).
 
-    All live cells inside both sequences, across *all* pairs, find their
+    All live cells, across *all* pairs, find their
     match length ``L`` together from 8-byte words as :func:`extend_kernel`
     does, so the per-call numpy overhead is paid once per batch instead
     of once per pair.  Per pair, ``matches`` is
@@ -444,9 +415,11 @@ def extend_kernel_batched(
         np.copyto(out, offsets)
     ks = lo[:, None] + np.arange(width, dtype=np.int64)
     # Each diagonal ends at the text end ``m`` or the pattern end ``k + n``.
+    # A cell already there compares a sentinel on its first byte, so it
+    # stays put and counts as stopped at the end.
     stop = np.minimum(ms[:, None], ks + ns[:, None])
-    cells = ((out >= 0) & (out < stop)).ravel().nonzero()[0]
     flat = out.reshape(-1)
+    cells = (flat >= 0).nonzero()[0]
     rows = cells // max(width, 1)
     j0 = flat[cells]
     i0 = j0 - ks.reshape(-1)[cells]

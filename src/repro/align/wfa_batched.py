@@ -40,6 +40,7 @@ from .kernels import (
     batch_words,
     compute_kernel_batched,
     extend_kernel_batched,
+    window_columns,
 )
 from .packing import pack_batch
 from .penalties import AffinePenalties, DEFAULT_PENALTIES
@@ -146,8 +147,9 @@ class _BatchRecord:
     ``mid`` stacks M, I and D as ``(3, pairs, width + 1)``.  Row ``p``
     covers diagonals from ``lo[p]``; cells past the pair's band, whole
     rows of a matrix the pair has no wavefront in, and the last (pad)
-    column are NULL_OFFSET, so one index per window serves all three
-    matrices (:meth:`window`).
+    column are NULL_OFFSET: the layout of
+    :func:`repro.align.kernels.window_columns`, so one index per window
+    serves all three matrices (:meth:`window`).
 
     ``band_m`` and ``band_id`` are ``(2, pairs)`` pairs ``[lo, -hi]`` of
     the M band and of the I-or-D band, :data:`BAND_ABSENT` for pairs
@@ -197,13 +199,9 @@ class _BatchRecord:
         """Flat index of each pair's diagonals ``lo_new + shift`` onward.
 
         ``m_flat[idx]`` (or ``i_flat``/``d_flat``) is the ``(pairs,
-        cols)`` window, NULL_OFFSET outside the pair's band: columns off
-        either end of the row land on its pad (viewed as unsigned, a
-        negative column is huge, so one ``minimum`` clamps both ends).
+        cols)`` window, NULL_OFFSET outside the pair's band.
         """
-        idx = (lo_new - self.lo)[:, None] + np.arange(shift, shift + cols)
-        col = idx.view(np.uint64)
-        np.minimum(col, self.width, out=col)
+        idx = window_columns(self.lo, self.width, lo_new, cols, shift)
         idx += self.row_base
         return idx
 

@@ -442,24 +442,23 @@ class TestBatchedKernelsMatch1D:
             assert out.comparisons[r] == ref.comparisons
 
     def test_gather_window_matches_wavefront_window(self):
-        from repro.align.kernels import BAND_ABSENT, gather_window_batched
         from repro.align.wfa import Wavefront
 
         data = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
         lo_src = np.array([-1, 2], dtype=np.int64)
         hi_src = np.array([1, 4], dtype=np.int64)
         lo_new = np.array([-2, 1], dtype=np.int64)
-        out = gather_window_batched(data, lo_src, hi_src, lo_new, 4, shift=1)
+        out = padded_window(data, lo_src, hi_src, lo_new, 4, shift=1)
         for r in range(2):
             wf = Wavefront(int(lo_src[r]), int(hi_src[r]), data[r])
             ref = wf.window(int(lo_new[r]) + 1, int(lo_new[r]) + 4 + 1 - 1)
             assert (out[r] == ref).all()
 
     def test_gather_window_absent_row_is_null(self):
-        from repro.align.kernels import BAND_ABSENT, gather_window_batched
+        from repro.align.kernels import BAND_ABSENT
 
         data = np.array([[7, 8]], dtype=np.int64)
-        out = gather_window_batched(
+        out = padded_window(
             data,
             np.array([BAND_ABSENT], dtype=np.int64),
             np.array([-BAND_ABSENT], dtype=np.int64),
@@ -468,6 +467,21 @@ class TestBatchedKernelsMatch1D:
             shift=0,
         )
         assert (out == NULL).all()
+
+
+def padded_window(data, lo_src, hi_src, lo_new, width, shift):
+    """Cut :func:`window_columns` windows out of ``data`` laid out as the
+    batched aligner stores a wavefront: cells past each row's band
+    ``lo_src..hi_src`` nulled and one NULL pad column appended."""
+    from repro.align.kernels import window_columns
+
+    pairs, w_src = data.shape
+    padded = np.full((pairs, w_src + 1), NULL, dtype=np.int64)
+    for r in range(pairs):
+        band = min(max(int(hi_src[r] - lo_src[r]) + 1, 0), w_src)
+        padded[r, :band] = data[r, :band]
+    cols = window_columns(lo_src, w_src, lo_new, width, shift)
+    return np.take_along_axis(padded, cols, axis=1)
 
 
 def batched_extend(rows):
@@ -508,9 +522,9 @@ def batched_extend(rows):
 def gather_cases(draw):
     """A batched wavefront with random bands and windows to cut from it.
 
-    Bands may be narrower than the matrix (the padding columns hold live
-    values the gather must not leak) and rows may be :data:`BAND_ABSENT`
-    on either side.
+    Bands may be narrower than the matrix (the columns past them hold
+    live values, which the padded layout must null) and rows may be
+    :data:`BAND_ABSENT` on either side.
     """
     from repro.align.kernels import BAND_ABSENT
 
@@ -555,10 +569,9 @@ class TestBatchedKernelsMatchReferences:
 
     @staticmethod
     def check_gather(data, lo_src, hi_src, lo_new, width, shift):
-        from repro.align.kernels import gather_window_batched
         from repro.align.wfa import Wavefront
 
-        out = gather_window_batched(data, lo_src, hi_src, lo_new, width, shift)
+        out = padded_window(data, lo_src, hi_src, lo_new, width, shift)
         assert out.shape == (len(data), width)
         for r in range(len(data)):
             band = max(int(hi_src[r] - lo_src[r]) + 1, 0)
