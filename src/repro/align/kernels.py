@@ -148,20 +148,26 @@ def compute_kernel(
 
 #: Bytes (bases) compared per word operation of :func:`extend_kernel`.
 _WORD_BYTES = 8
-_ONE = np.uint64(1)
 #: Words each still-matching cell compares per pass after its first in
 #: :func:`extend_kernel_batched`.
 _TAIL_WORDS = 16
 _TAIL_STRIDES = _WORD_BYTES * np.arange(_TAIL_WORDS, dtype=np.int64)
 
 
-def _lowest_bit_exponent(diff: np.ndarray) -> np.ndarray:
-    """``b + 1`` for the lowest set bit ``b`` of each word, 0 for a zero word.
+def _equal_bytes(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal leading bytes of each row of XOR words, and whether any differ.
 
-    ``diff & -diff`` isolates that bit; as a float64 it is an exact power
-    of two, whose ``frexp`` exponent is ``b + 1``.
+    ``diff`` is ``(cells, words)``: XORs of little-endian 8-byte words
+    laid end to end, so its bytes are in sequence order.  ``run[r]`` is
+    the index of row ``r``'s first nonzero byte, and ``differs[r]`` is
+    False when the whole row is zero (``run`` is then 0 and the match
+    goes on past it).
     """
-    return np.frexp((diff & (~diff + _ONE)).astype(np.float64))[1]
+    rows, words = diff.shape
+    little = diff.astype("<u8", copy=False).view(np.uint8)
+    nonzero = little.reshape(rows, _WORD_BYTES * words) != 0
+    run = nonzero.argmax(axis=1)
+    return run, nonzero[np.arange(rows), run]
 
 
 #: Sentinel bytes after every padded sequence: one 16-base comparator
@@ -413,46 +419,43 @@ def extend_kernel_batched(
         out = offsets.astype(np.int64, order="C")
     elif out is not offsets:
         np.copyto(out, offsets)
-    ks = lo[:, None] + np.arange(width, dtype=np.int64)
+    flat = out.reshape(-1)
+    cells = (flat >= 0).nonzero()[0]
+    rows, ks = np.divmod(cells, max(width, 1))
+    ks += lo[rows]
     # Each diagonal ends at the text end ``m`` or the pattern end ``k + n``.
     # A cell already there compares a sentinel on its first byte, so it
     # stays put and counts as stopped at the end.
-    stop = np.minimum(ms[:, None], ks + ns[:, None])
-    flat = out.reshape(-1)
-    cells = (flat >= 0).nonzero()[0]
-    rows = cells // max(width, 1)
+    stop = np.minimum(ms[rows], ks + ns[rows])
     j0 = flat[cells]
-    i0 = j0 - ks.reshape(-1)[cells]
+    i0 = j0 - ks
     word_row = word_rows[rows]
     a_pos = word_row * a_words.shape[1] + i0
     b_pos = word_row * b_words.shape[1] + j0
     a_flat = a_words.reshape(-1)
     b_flat = b_words.reshape(-1)
 
-    # ``run`` is the byte index of the first difference, or -1 (to be
-    # overwritten) for cells whose whole word matched.  Most cells stop
-    # in their first word; the few long runs go on ``_TAIL_WORDS`` words
+    # ``run`` is the byte index of the first difference; cells whose
+    # whole word matched are overwritten later.  Most cells stop in
+    # their first word; the few long runs go on ``_TAIL_WORDS`` words
     # per pass.  A run always ends by the first sentinel, so words read
     # past it (clipped at the matrix end) never decide anything.
-    exp = _lowest_bit_exponent(a_flat[a_pos] ^ b_flat[b_pos])
-    run = (exp - 1) >> 3
-    todo = (exp == 0).nonzero()[0]
+    run, differs = _equal_bytes((a_flat[a_pos] ^ b_flat[b_pos])[:, None])
+    todo = (~differs).nonzero()[0]
     matched = _WORD_BYTES
     while todo.size:
         ahead = matched + _TAIL_STRIDES
-        exps = _lowest_bit_exponent(
+        tail, differs = _equal_bytes(
             a_flat.take(a_pos[todo, None] + ahead, mode="clip")
             ^ b_flat.take(b_pos[todo, None] + ahead, mode="clip")
         )
-        first = (exps != 0).argmax(axis=1)
-        exp = exps[np.arange(todo.size), first]
-        run[todo] = matched + _WORD_BYTES * first + ((exp - 1) >> 3)
-        todo = todo[exp == 0]
+        run[todo] = matched + tail
+        todo = todo[~differs]
         matched += _WORD_BYTES * _TAIL_WORDS
 
     end = j0 + run
     flat[cells] = end
-    stopped = rows[end != stop.reshape(-1)[cells]]
+    stopped = rows[end != stop]
     matches = np.bincount(rows, weights=run, minlength=num_pairs).astype(np.int64)
     comparisons = matches + np.bincount(stopped, minlength=num_pairs)
     return BatchedExtendOutput(offsets=out, matches=matches, comparisons=comparisons)
@@ -493,18 +496,17 @@ def extend_kernel(
     j0 = out[cells]
     i0 = j0 - ks[cells]
 
-    # ``run`` is the byte index of the first difference, or -1 (to be
-    # overwritten) for cells whose whole word matched; those go on.
-    exp = _lowest_bit_exponent(a_words[i0] ^ b_words[j0])
-    run = (exp - 1) >> 3
-    todo = np.flatnonzero(exp == 0)
+    # ``run`` is the byte index of the first difference; cells whose
+    # whole word matched go on.
+    run, differs = _equal_bytes((a_words[i0] ^ b_words[j0])[:, None])
+    todo = (~differs).nonzero()[0]
     matched = _WORD_BYTES
     while todo.size:
-        exp = _lowest_bit_exponent(
-            a_words[i0[todo] + matched] ^ b_words[j0[todo] + matched]
+        tail, differs = _equal_bytes(
+            (a_words[i0[todo] + matched] ^ b_words[j0[todo] + matched])[:, None]
         )
-        run[todo] = matched + ((exp - 1) >> 3)
-        todo = todo[exp == 0]
+        run[todo] = matched + tail
+        todo = todo[~differs]
         matched += _WORD_BYTES
 
     end = j0 + run

@@ -144,22 +144,22 @@ class _LiveRows:
 class _BatchRecord:
     """The M/I/D wavefronts of one score for every live pair.
 
-    ``mid`` stacks M, I and D as ``(3, pairs, width + 1)``.  Row ``p``
-    covers diagonals from ``lo[p]``; cells past the pair's band, whole
-    rows of a matrix the pair has no wavefront in, and the last (pad)
-    column are NULL_OFFSET: the layout of
-    :func:`repro.align.kernels.window_columns`, so one index per window
-    serves all three matrices (:meth:`window`).
-
     ``band_m`` and ``band_id`` are ``(2, pairs)`` pairs ``[lo, -hi]`` of
     the M band and of the I-or-D band, :data:`BAND_ABSENT` for pairs
     without such a wavefront: the next score's band is their elementwise
-    minimum.  ``row_cells`` counts the cells stored per pair (band width
+    minimum.
+
+    ``mid`` stacks M, I and D as ``(3, pairs, width + 1)``.  Row ``p``
+    covers diagonals from ``band_m[0, p]``; cells past the pair's band,
+    whole rows of a matrix the pair has no wavefront in (all of them
+    when M has none), and the last (pad) column are NULL_OFFSET: the
+    layout of :func:`repro.align.kernels.window_columns`, so one index
+    per window serves all three matrices (:meth:`window`).  ``row_cells`` counts the cells stored per pair (band width
     x live matrices), the unit of the ``peak_wavefront_bytes`` model.
     """
 
     __slots__ = (
-        "mid", "meta", "width", "row_base", "lo", "band_m", "band_id",
+        "mid", "meta", "width", "row_base", "band_m", "band_id",
         "row_cells", "m_flat", "i_flat", "d_flat",
     )
 
@@ -171,10 +171,9 @@ class _BatchRecord:
         rows, cols = mid.shape[1:]
         self.width = cols - 1
         self.row_base = np.arange(0, rows * cols, cols, dtype=np.int64)[:, None]
-        self.lo = meta[0]
-        self.band_m = meta[1:3]
-        self.band_id = meta[3:5]
-        self.row_cells = meta[5]
+        self.band_m = meta[0:2]
+        self.band_id = meta[2:4]
+        self.row_cells = meta[4]
         self.m_flat, self.i_flat, self.d_flat = mid.reshape(3, -1)
 
     @classmethod
@@ -183,16 +182,15 @@ class _BatchRecord:
     ) -> "_BatchRecord":
         """A record of ``mid`` with per-matrix ``live`` rows, ``band``
         (``[lo, -hi]`` per row) and band ``width`` per row."""
-        meta = np.empty((6, mid.shape[1]), dtype=np.int64)
-        meta[0] = band[0]
-        meta[1:3] = band
-        meta[3:5] = band
+        meta = np.empty((5, mid.shape[1]), dtype=np.int64)
+        meta[0:2] = band
+        meta[2:4] = band
         if np.count_nonzero(live) < live.size:
-            meta[1:3, ~live[0]] = BAND_ABSENT
-            meta[3:5, ~(live[1] | live[2])] = BAND_ABSENT
+            meta[0:2, ~live[0]] = BAND_ABSENT
+            meta[2:4, ~(live[1] | live[2])] = BAND_ABSENT
         # I and D cells only exist where M does, so a row with no M
         # wavefront stores nothing.
-        np.multiply(width, np.add.reduce(live, axis=0), out=meta[5])
+        np.multiply(width, np.add.reduce(live, axis=0), out=meta[4])
         return cls(mid, meta)
 
     def window(self, lo_new: np.ndarray, cols: int, shift: int) -> np.ndarray:
@@ -201,7 +199,9 @@ class _BatchRecord:
         ``m_flat[idx]`` (or ``i_flat``/``d_flat``) is the ``(pairs,
         cols)`` window, NULL_OFFSET outside the pair's band.
         """
-        idx = window_columns(self.lo, self.width, lo_new, cols, shift)
+        # A pair without M has a NULL row: its absent start clamps every
+        # column onto the pad, and any column would read NULL anyway.
+        idx = window_columns(self.band_m[0], self.width, lo_new, cols, shift)
         idx += self.row_base
         return idx
 
