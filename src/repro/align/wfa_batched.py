@@ -60,6 +60,7 @@ __all__ = ["BatchedWfaAligner", "wfa_align_batched"]
 _SENTINEL_A = 0xFF
 _SENTINEL_B = 0xFE
 
+
 class _LiveRows:
     """Per-pair state of the unfinished pairs, row-aligned with them.
 
@@ -110,7 +111,7 @@ class _LiveRows:
             self.ext_match, self.peak_width, self.pruned, self.live_cells,
             self.peak_cells,
         ) = state
-        self.cap = int(self.caps.min()) if state.shape[1] else 0
+        self.cap = int(self.caps.min())
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop retired pairs' rows (``keep`` is a boolean row mask)."""
@@ -154,8 +155,10 @@ class _BatchRecord:
     whole rows of a matrix the pair has no wavefront in (all of them
     when M has none), and the last (pad) column are NULL_OFFSET: the
     layout of :func:`repro.align.kernels.window_columns`, so one index
-    per window serves all three matrices (:meth:`window`).  ``row_cells`` counts the cells stored per pair (band width
-    x live matrices), the unit of the ``peak_wavefront_bytes`` model.
+    per window serves all three matrices (:meth:`window`).
+
+    ``row_cells`` counts the cells stored per pair (band width x live
+    matrices), the unit of the ``peak_wavefront_bytes`` model.
     """
 
     __slots__ = (

@@ -38,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..engine.engine import BatchAlignmentEngine, BatchReport, merge_batch_reports
