@@ -154,20 +154,28 @@ _TAIL_WORDS = 16
 _TAIL_STRIDES = _WORD_BYTES * np.arange(_TAIL_WORDS, dtype=np.int64)
 
 
-def _equal_bytes(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal leading bytes of each row of XOR words, and whether any differ.
+def _diff_byte(diff: np.ndarray) -> np.ndarray:
+    """Index of the lowest differing byte of each XOR word, -128 for none.
 
-    ``diff`` is ``(cells, words)``: XORs of little-endian 8-byte words
-    laid end to end, so its bytes are in sequence order.  ``run[r]`` is
-    the index of row ``r``'s first nonzero byte, and ``differs[r]`` is
-    False when the whole row is zero (``run`` is then 0 and the match
-    goes on past it).
+    ``diff & -diff`` isolates the lowest set bit ``b``; as a float64 it is
+    an exact power of two, whose biased exponent field holds ``1023 + b``.
+    """
+    bits = (diff & -diff).astype(np.float64).view(np.int64)
+    return ((bits >> 52) - 1023) >> 3
+
+
+def _diff_byte_in_rows(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First differing byte of each row of XOR words, and whether it has one.
+
+    ``diff`` is ``(cells, words)``: little-endian words laid end to end,
+    so its bytes are in sequence order.  Once rows are several words
+    long, one ``argmax`` over their bytes beats a search per word.
     """
     rows, words = diff.shape
     little = diff.astype("<u8", copy=False).view(np.uint8)
     nonzero = little.reshape(rows, _WORD_BYTES * words) != 0
-    run = nonzero.argmax(axis=1)
-    return run, nonzero[np.arange(rows), run]
+    first = nonzero.argmax(axis=1)
+    return first, nonzero[np.arange(rows), first]
 
 
 #: Sentinel bytes after every padded sequence: one 16-base comparator
@@ -435,17 +443,17 @@ def extend_kernel_batched(
     a_flat = a_words.reshape(-1)
     b_flat = b_words.reshape(-1)
 
-    # ``run`` is the byte index of the first difference; cells whose
-    # whole word matched are overwritten later.  Most cells stop in
-    # their first word; the few long runs go on ``_TAIL_WORDS`` words
-    # per pass.  A run always ends by the first sentinel, so words read
-    # past it (clipped at the matrix end) never decide anything.
-    run, differs = _equal_bytes((a_flat[a_pos] ^ b_flat[b_pos])[:, None])
-    todo = (~differs).nonzero()[0]
+    # ``run`` is the byte index of the first difference, or negative (to
+    # be overwritten) for cells whose whole word matched.  Most cells
+    # stop in their first word; the few long runs go on ``_TAIL_WORDS``
+    # words per pass.  A run always ends by the first sentinel, so words
+    # read past it (clipped at the matrix end) never decide anything.
+    run = _diff_byte(a_flat[a_pos] ^ b_flat[b_pos])
+    todo = (run < 0).nonzero()[0]
     matched = _WORD_BYTES
     while todo.size:
         ahead = matched + _TAIL_STRIDES
-        tail, differs = _equal_bytes(
+        tail, differs = _diff_byte_in_rows(
             a_flat.take(a_pos[todo, None] + ahead, mode="clip")
             ^ b_flat.take(b_pos[todo, None] + ahead, mode="clip")
         )
@@ -496,17 +504,15 @@ def extend_kernel(
     j0 = out[cells]
     i0 = j0 - ks[cells]
 
-    # ``run`` is the byte index of the first difference; cells whose
-    # whole word matched go on.
-    run, differs = _equal_bytes((a_words[i0] ^ b_words[j0])[:, None])
-    todo = (~differs).nonzero()[0]
+    # ``run`` is the byte index of the first difference, or negative (to
+    # be overwritten) for cells whose whole word matched; those go on.
+    run = _diff_byte(a_words[i0] ^ b_words[j0])
+    todo = (run < 0).nonzero()[0]
     matched = _WORD_BYTES
     while todo.size:
-        tail, differs = _equal_bytes(
-            (a_words[i0[todo] + matched] ^ b_words[j0[todo] + matched])[:, None]
-        )
+        tail = _diff_byte(a_words[i0[todo] + matched] ^ b_words[j0[todo] + matched])
         run[todo] = matched + tail
-        todo = todo[~differs]
+        todo = todo[tail < 0]
         matched += _WORD_BYTES
 
     end = j0 + run
