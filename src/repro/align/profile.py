@@ -58,11 +58,7 @@ class StageProfiler:
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Credit ``seconds``/``calls`` to a stage directly."""
-        stats = self.stages.get(name)
-        if stats is None:
-            stats = self.stages[name] = StageStats()
-        stats.calls += calls
-        stats.seconds += seconds
+        self._stats(name).add(seconds, calls)
 
     def count(self, name: str, calls: int = 1) -> None:
         """Bump a pure counter (a stage with no meaningful wall-time)."""

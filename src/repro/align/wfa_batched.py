@@ -438,14 +438,12 @@ class BatchedWfaAligner:
             # The new band of each pair, as ``[lo, -hi]``: one wider than
             # the union of its source bands, clipped to ``-n..m``.  Pairs
             # without any source end up with a width below one.
-            band = None
-            for src in (
-                rec_x.band_m if rec_x is not None else None,
-                rec_oe.band_m if rec_oe is not None else None,
-                rec_e.band_id if rec_e is not None else None,
-            ):
-                if src is not None:
-                    band = src if band is None else np.minimum(band, src)
+            sources = [rec.band_m for rec in (rec_x, rec_oe) if rec is not None]
+            if rec_e is not None:
+                sources.append(rec_e.band_id)
+            band = sources[0]
+            for src in sources[1:]:
+                band = np.minimum(band, src)
             band = np.maximum(band - 1, live.bounds)
             lo_new = band[0]
             w_rows = 1 - np.add.reduce(band)
