@@ -25,7 +25,6 @@ from .swg import SwgResult, swg_align, swg_score
 from .swlinear import SwLinearResult, sw_linear_align, sw_linear_score
 from .wfa import (
     NULL_OFFSET,
-    ScoreLimitExceeded,
     Wavefront,
     WfaAligner,
     WfaResult,
@@ -47,7 +46,6 @@ __all__ = [
     "LinearPenalties",
     "NULL_OFFSET",
     "ScoreLattice",
-    "ScoreLimitExceeded",
     "StageProfiler",
     "SwLinearResult",
     "SwgResult",

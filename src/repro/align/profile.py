@@ -36,10 +36,20 @@ class StageStats:
 
 
 class StageProfiler:
-    """Wall-time and call counters keyed by stage name."""
+    """Wall-time and call counters keyed by stage name.
 
-    def __init__(self) -> None:
+    ``tracer`` is an optional span sink, duck-typed as a
+    :class:`repro.obs.trace.Tracer` so this low-level module imports
+    nothing from ``repro.obs``.  With one, every :meth:`stage` block is
+    also recorded as a complete span in category ``engine``: the one
+    clock pair feeds both, so a span's ``dur`` is its stage seconds
+    × 1e6.  Aligner-side profilers take no sink; their stages run once
+    per score step.
+    """
+
+    def __init__(self, tracer: Any = None) -> None:
         self.stages: dict[str, StageStats] = {}
+        self.tracer = tracer
 
     def _stats(self, name: str) -> StageStats:
         stats = self.stages.get(name)
@@ -48,21 +58,33 @@ class StageProfiler:
         return stats
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a block: ``with prof.stage("compute"): ...``."""
+    def stage(
+        self, name: str, calls: int = 1, args: dict | None = None
+    ) -> Iterator[None]:
+        """Time a block: ``with prof.stage("resolve"): ...``.
+
+        The block counts as ``calls`` invocations; ``args`` annotate its
+        span when a tracer is attached.
+        """
         start = time.perf_counter()
         try:
             yield
         finally:
-            self._stats(name).add(time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            self._stats(name).add(seconds, calls)
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.complete(
+                    name,
+                    "engine",
+                    tracer.perf_to_us(start),
+                    seconds * 1e6,
+                    args=args,
+                )
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Credit ``seconds``/``calls`` to a stage directly."""
         self._stats(name).add(seconds, calls)
-
-    def count(self, name: str, calls: int = 1) -> None:
-        """Bump a pure counter (a stage with no meaningful wall-time)."""
-        self._stats(name).add(0.0, calls)
 
     def merge(self, other: "StageProfiler | dict | None") -> None:
         """Fold another profiler (or its :meth:`as_dict` form) into this one."""
@@ -79,39 +101,6 @@ class StageProfiler:
             else:
                 self._stats(name).add(stats["seconds"], stats["calls"])
 
-    @property
-    def total_seconds(self) -> float:
-        """Wall-time summed over every stage."""
-        return sum(s.seconds for s in self.stages.values())
-
-    def publish(
-        self,
-        registry: Any,
-        prefix: str = "engine",
-        labels: dict | None = None,
-    ) -> None:
-        """Publish the accumulated stages to a metrics registry.
-
-        Emits ``{prefix}_stage_seconds_total{stage=...}`` and
-        ``{prefix}_stage_calls_total{stage=...}`` counters on
-        ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`,
-        duck-typed so this low-level module imports nothing from
-        ``repro.obs``).  The profiler's own counters are untouched —
-        publishing is additive, which is what keeps
-        :meth:`as_dict`/``BatchReport.profile`` bit-identical to the
-        pre-registry behaviour (the differential test's invariant).
-        """
-        seconds = registry.counter(
-            f"{prefix}_stage_seconds_total", "Wall-time per stage"
-        )
-        calls = registry.counter(
-            f"{prefix}_stage_calls_total", "Invocations per stage"
-        )
-        for name, stats in self.stages.items():
-            stage_labels = {"stage": name, **(labels or {})}
-            seconds.inc(stats.seconds, stage_labels)
-            calls.inc(stats.calls, stage_labels)
-
     def as_dict(self) -> dict[str, dict]:
         """Picklable/JSON view: ``{stage: {"calls": n, "seconds": t}}``."""
         return {
@@ -123,8 +112,8 @@ class StageProfiler:
 def format_profile(profile: dict[str, dict]) -> str:
     """Human-readable table of an :meth:`StageProfiler.as_dict` payload.
 
-    Stages are sorted by descending wall-time; pure counters (zero
-    seconds) sink to the bottom and show ``-`` in the time columns.
+    Stages are sorted by descending wall-time; zero-second stages sink
+    to the bottom and show ``-`` in the time columns.
     """
     if not profile:
         return "profile: (no stages recorded)"

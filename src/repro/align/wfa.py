@@ -169,11 +169,6 @@ class WfaAligner:
         Store all wavefronts so a CIGAR can be reconstructed.  Disable for
         score-only runs on very long sequences (memory drops to the
         recurrence window, exactly like the hardware, §4.3.1).
-    max_score:
-        Abort threshold: if the alignment penalty would exceed this, the
-        aligner raises :class:`ScoreLimitExceeded` — the software analog of
-        the hardware's ``Score_max = k_max * 2 + 4`` bound (Eq. 6) that
-        clears the Success flag.
     band_width:
         Adaptive wavefront band (Scrooge/ABSW direction): after every
         wavefront step, keep only ``band_width`` diagonals re-centered on
@@ -190,14 +185,12 @@ class WfaAligner:
         penalties: AffinePenalties = DEFAULT_PENALTIES,
         *,
         keep_backtrace: bool = True,
-        max_score: int | None = None,
         band_width: int | None = None,
     ) -> None:
         if band_width is not None and band_width < 1:
             raise ValueError(f"band_width must be >= 1, got {band_width}")
         self.penalties = penalties
         self.keep_backtrace = keep_backtrace
-        self.max_score = max_score
         self.band_width = band_width
 
     # -- public API ----------------------------------------------------
@@ -231,7 +224,6 @@ class WfaAligner:
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         step = p.score_granularity
-        ceiling = self.max_score
         span = p.max_window_span()
         hard_cap = 2 * p.gap_open + e * (n + m) + x  # no alignment can cost more
 
@@ -239,8 +231,6 @@ class WfaAligner:
         last_live_s = 0
         while True:
             s += step
-            if ceiling is not None and s > ceiling:
-                raise ScoreLimitExceeded(s, ceiling, work)
             if s > hard_cap:
                 if self.band_width is not None:
                     return WfaResult(score=-1, cigar=None, work=work, reached_end=False)
@@ -570,16 +560,6 @@ def backtrace_wavefronts(
             k += 1
 
     return Cigar("".join(reversed(ops)))
-
-
-class ScoreLimitExceeded(RuntimeError):
-    """Alignment penalty exceeded the configured ceiling (Eq. 6 analog)."""
-
-    def __init__(self, score: int, limit: int, work: WfaWorkCounters) -> None:
-        super().__init__(f"alignment score passed the limit ({score} > {limit})")
-        self.score = score
-        self.limit = limit
-        self.work = work
 
 
 def wfa_align(

@@ -48,7 +48,6 @@ from .profile import StageProfiler
 from .wfa import (
     BYTES_PER_CELL,
     NULL_OFFSET,
-    ScoreLimitExceeded,
     Wavefront,
     WfaResult,
     WfaWorkCounters,
@@ -226,10 +225,6 @@ class BatchedWfaAligner:
         Store per-pair wavefront history so CIGARs can be recovered at
         retirement.  Off, only scores are produced and memory stays
         bounded by the recurrence window, exactly like the hardware.
-    max_score:
-        Abort threshold: raises :class:`ScoreLimitExceeded` as soon as
-        the *batch* score passes it while any pair is unfinished (the
-        whole call fails — a batch shares its score clock).
     profiler:
         Optional :class:`repro.align.profile.StageProfiler`; the aligner
         charges its ``pack`` / ``compute`` / ``extend`` / ``band`` /
@@ -249,7 +244,6 @@ class BatchedWfaAligner:
         penalties: AffinePenalties = DEFAULT_PENALTIES,
         *,
         keep_backtrace: bool = True,
-        max_score: int | None = None,
         profiler: StageProfiler | None = None,
         band_width: int | None = None,
     ) -> None:
@@ -257,7 +251,6 @@ class BatchedWfaAligner:
             raise ValueError(f"band_width must be >= 1, got {band_width}")
         self.penalties = penalties
         self.keep_backtrace = keep_backtrace
-        self.max_score = max_score
         self.profiler = profiler if profiler is not None else StageProfiler()
         self.band_width = band_width
 
@@ -391,11 +384,6 @@ class BatchedWfaAligner:
         iterations = 0  # scores attempted; every live pair saw all of them
         while True:
             s += step
-            if self.max_score is not None and s > self.max_score:
-                merged = WfaWorkCounters()
-                for work in live.work(np.arange(live.act.size), iterations):
-                    merged.merge(work)
-                raise ScoreLimitExceeded(s, self.max_score, merged)
             if s > live.cap:
                 if band_width is None:
                     raise AssertionError(

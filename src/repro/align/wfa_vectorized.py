@@ -24,7 +24,6 @@ from .kernels import compute_kernel, extend_kernel, sequence_words
 from .penalties import AffinePenalties, DEFAULT_PENALTIES
 from .wfa import (
     NULL_OFFSET,
-    ScoreLimitExceeded,
     Wavefront,
     WfaResult,
     WfaWorkCounters,
@@ -41,7 +40,7 @@ class VectorizedWfaAligner:
     """Exact gap-affine WFA with vectorised compute/extend.
 
     Parameters mirror :class:`repro.align.wfa.WfaAligner`; see there for
-    semantics of ``keep_backtrace`` and ``max_score``.
+    semantics of ``keep_backtrace``.
     """
 
     def __init__(
@@ -49,11 +48,9 @@ class VectorizedWfaAligner:
         penalties: AffinePenalties = DEFAULT_PENALTIES,
         *,
         keep_backtrace: bool = True,
-        max_score: int | None = None,
     ) -> None:
         self.penalties = penalties
         self.keep_backtrace = keep_backtrace
-        self.max_score = max_score
 
     def align(self, a: str, b: str) -> WfaResult:
         """Align pattern ``a`` against text ``b`` end to end."""
@@ -91,8 +88,6 @@ class VectorizedWfaAligner:
         s = 0
         while True:
             s += step
-            if self.max_score is not None and s > self.max_score:
-                raise ScoreLimitExceeded(s, self.max_score, work)
             if s > hard_cap:
                 raise AssertionError(
                     f"WFA failed to terminate below the hard score cap {hard_cap}"

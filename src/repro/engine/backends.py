@@ -10,9 +10,9 @@ process (see :mod:`repro.engine.engine`).
 
 Four backends ship with the repository.  Two are software WFAs, each
 an instance of :class:`SoftwareWfaBackend` that owns the chunk loop,
-the band-then-exact retry and the ``band_fallbacks`` /
-``peak_wavefront_bytes`` counters; they differ only in how they build
-an aligner and run pairs through it:
+the band-then-exact retry and each outcome's ``band_fallback`` /
+``peak_wavefront_bytes`` work counters; they differ only in how they
+build an aligner and run pairs through it:
 
 * ``batched`` — the cross-pair batched WFA
   (:class:`repro.align.BatchedWfaAligner`), the default: the whole chunk
@@ -79,6 +79,11 @@ class PairOutcome:
       rejection, a backend exception, a lost worker or a chunk timeout)
       — see :mod:`repro.engine.validation` for the ``error_kind``
       taxonomy.  Errored outcomes are never cached.
+
+    The software WFA backends also report the work the pair cost:
+    ``peak_wavefront_bytes`` (its peak stored wavefront bytes) and
+    ``band_fallback`` (its banded run died and it was re-aligned
+    exact).  Other backends, and cache hits, leave them at zero.
     """
 
     slot: int
@@ -88,6 +93,8 @@ class PairOutcome:
     ok: bool = True
     error_kind: str | None = None
     error_msg: str | None = None
+    peak_wavefront_bytes: int = 0
+    band_fallback: bool = False
 
     @classmethod
     def error(cls, slot: int, kind: str, msg: str) -> "PairOutcome":
@@ -146,12 +153,24 @@ class AlignmentBackend:
         raise NotImplementedError
 
 
-def _outcome(slot: int, res: WfaResult | SwgResult, backtrace: bool) -> PairOutcome:
+def _outcome(
+    slot: int,
+    res: WfaResult | SwgResult,
+    backtrace: bool,
+    peak_wavefront_bytes: int = 0,
+    band_fallback: bool = False,
+) -> PairOutcome:
     """The outcome of one aligner result."""
     # ``res.cigar`` may be the (falsy) empty CIGAR of an empty-vs-empty
     # alignment: still a valid answer, kept as "".
     cigar = res.cigar.compact() if backtrace and res.cigar is not None else None
-    return PairOutcome(slot=slot, score=res.score, cigar=cigar)
+    return PairOutcome(
+        slot=slot,
+        score=res.score,
+        cigar=cigar,
+        peak_wavefront_bytes=peak_wavefront_bytes,
+        band_fallback=band_fallback,
+    )
 
 
 #: Aligns a list of ``(pattern, text)`` pairs, one result per pair in order.
@@ -171,11 +190,11 @@ class SoftwareWfaBackend(AlignmentBackend):
     written once, here.  Under ``band_width`` the chunk first runs
     banded; pairs whose band died (``reached_end=False``) are re-run
     through an exact runner, so a collapsed band degrades to exact
-    alignment instead of a failed pair.  The profile carries
-    ``band_fallbacks`` (retried pairs, banded runs only) and
-    ``peak_wavefront_bytes`` (summed per-pair peak stored wavefront
-    bytes) as pure counters; a retried pair is charged the larger of its
-    banded and exact peaks.
+    alignment instead of a failed pair.  Each outcome carries the pair's
+    ``peak_wavefront_bytes`` and whether it was retried
+    (``band_fallback``); a retried pair is charged the larger of its
+    banded and exact peaks.  The profile holds the aligner's stage
+    times.
     """
 
     def __init__(
@@ -196,18 +215,19 @@ class SoftwareWfaBackend(AlignmentBackend):
         pairs = [(pattern, text) for _, pattern, text in items]
         results = self.build(penalties, backtrace, band_width, profiler)(pairs)
         peaks = [res.work.peak_wavefront_bytes for res in results]
-        if band_width is not None:
-            failed = [i for i, res in enumerate(results) if not res.reached_end]
-            if failed:
-                exact = self.build(penalties, backtrace, None, profiler)
-                for i, res in zip(failed, exact([pairs[i] for i in failed])):
-                    results[i] = res
-                    peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
-            profiler.count("band_fallbacks", len(failed))
-        profiler.count("peak_wavefront_bytes", sum(peaks))
+        # Only a banded run can stop short of the end.
+        retried = [not res.reached_end for res in results]
+        failed = [i for i, dead in enumerate(retried) if dead]
+        if failed:
+            exact = self.build(penalties, backtrace, None, profiler)
+            for i, res in zip(failed, exact([pairs[i] for i in failed])):
+                results[i] = res
+                peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
         outcomes = [
-            _outcome(slot, res, backtrace)
-            for (slot, _, _), res in zip(items, results)
+            _outcome(slot, res, backtrace, peak, fallback)
+            for (slot, _, _), res, peak, fallback in zip(
+                items, results, peaks, retried
+            )
         ]
         return outcomes, profiler.as_dict()
 

@@ -37,16 +37,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from ..align.penalties import AffinePenalties, DEFAULT_PENALTIES
 from ..align.profile import StageProfiler, format_profile
 from ..metrics.cups import gcups, swg_equivalent_cells
-from ..obs.metrics import get_registry
 from ..obs.publish import publish_batch_report
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from ..workloads.generator import SequencePair
 from .backends import (
     AlignmentBackend,
@@ -225,16 +223,15 @@ class BatchReport:
     #: Sum over aligned pairs of each pair's peak live wavefront bytes
     #: (``BYTES_PER_CELL`` per stored cell) as reported by band-capable
     #: backends — the capacity-planning number behind adaptive banding.
-    #: 0 when the backend does not report it.
+    #: 0 when the backend does not report it.  Like ``band_fallbacks``,
+    #: summed from the backends' :class:`PairOutcome` work counters.
     peak_wavefront_bytes: int = 0
     worker_stats: list[WorkerStats] = field(default_factory=list)
-    #: Per-stage wall-time/call counters (:meth:`StageProfiler.as_dict`):
-    #: engine stages (``resolve``/``dispatch``/``execute``/``ipc``/
-    #: ``gather``) merged with whatever the backend reported per chunk
-    #: (``pack``/``compute``/``extend``/``backtrace``/``retire`` for the
-    #: batched backend).  ``dispatch`` is the engine-side payload build,
-    #: ``execute`` the in-process or parallel-region wall time and
-    #: ``ipc`` the slice of ``execute`` no worker accounts for.
+    #: Timed stages only (:meth:`StageProfiler.as_dict`): the engine's
+    #: ``resolve``/``dispatch``/``execute``/``ipc``/``gather`` merged
+    #: with whatever the backend timed per chunk (``pack``/``compute``/
+    #: ``extend``/``backtrace``/``retire`` for the batched backend).
+    #: The stage definitions are in ``docs/observability.md``.
     profile: dict = field(default_factory=dict)
 
     @property
@@ -336,7 +333,7 @@ def _run_items_isolated(
     One bad pair yields one errored outcome; every other pair of the
     chunk still gets its real result (the fault-isolation invariant),
     under the chunk's own band.  The replayed pairs' profiles are merged
-    into one, so their counters still reach the batch report.
+    into one, so their stage times still reach the batch report.
     """
     outcomes: list[PairOutcome] = []
     profiler = StageProfiler()
@@ -437,16 +434,6 @@ def _run_item_quarantined(
         result_queue.close()
 
 
-@contextmanager
-def _timed(
-    prof: StageProfiler, tracer: Tracer | None, name: str
-) -> Iterator[None]:
-    """Time a block into the profiler and, when tracing, as a span."""
-    span = tracer.span(name, "engine") if tracer is not None else nullcontext()
-    with span, prof.stage(name):
-        yield
-
-
 def _as_sequences(pair: SequencePair | tuple[str, str]) -> tuple[str, str]:
     if isinstance(pair, SequencePair):
         return pair.pattern, pair.text
@@ -510,8 +497,9 @@ class BatchAlignmentEngine:
         """
         cfg = self.config
         start = time.perf_counter()
-        prof = StageProfiler()
         tracer = get_tracer()
+        # One clock pair per engine stage feeds the profile and the span.
+        prof = StageProfiler(tracer)
         batch_start_us = tracer.now_us() if tracer is not None else 0.0
 
         outcomes: list[PairOutcome | None] = [None] * len(pairs)
@@ -522,7 +510,7 @@ class BatchAlignmentEngine:
         sequences: list[tuple[str, str]] = []
 
         # 0/1/2 -- validate + normalize, cache resolve, coalescing.
-        with _timed(prof, tracer, "resolve"):
+        with prof.stage("resolve"):
             for idx, pair in enumerate(pairs):
                 pattern, text = normalize_pair(idx, *_as_sequences(pair))
                 sequences.append((pattern, text))
@@ -567,7 +555,7 @@ class BatchAlignmentEngine:
         chunk_results: list[ChunkResult] = []
         retries = 0
         if work_items:
-            with _timed(prof, tracer, "dispatch"):
+            with prof.stage("dispatch"):
                 payloads: list[ChunkPayload] = [
                     (
                         cfg.backend,
@@ -579,34 +567,29 @@ class BatchAlignmentEngine:
                     )
                     for off in range(0, len(work_items), cfg.chunk_size)
                 ]
-            exec_start = time.perf_counter()
-            if cfg.workers == 1:
-                chunk_results = [_run_chunk(p) for p in payloads]
-            else:
-                chunk_results, retries = self._dispatch_parallel(payloads)
-            execute_wall = time.perf_counter() - exec_start
+            with prof.stage(
+                "execute",
+                calls=len(payloads),
+                args={"chunks": len(payloads), "backend": cfg.backend},
+            ):
+                if cfg.workers == 1:
+                    chunk_results = [_run_chunk(p) for p in payloads]
+                else:
+                    chunk_results, retries = self._dispatch_parallel(payloads)
             busy_total = sum(busy for _, _, busy, _, _ in chunk_results)
-            prof.add("execute", execute_wall, calls=len(payloads))
             # IPC/queueing: parallel-region wall-time not accounted
             # to any worker.  With workers=1 the chunks run
             # in-process, so this is ~0.
             prof.add(
                 "ipc",
-                max(0.0, execute_wall - busy_total),
+                max(0.0, prof.stages["execute"].seconds - busy_total),
                 calls=len(payloads),
             )
-            if tracer is not None:
-                tracer.complete(
-                    "execute",
-                    "engine",
-                    tracer.perf_to_us(exec_start),
-                    execute_wall * 1e6,
-                    args={"chunks": len(payloads), "backend": cfg.backend},
-                )
 
         # 4 -- gather, fill the cache, fan results out to duplicates.
         worker_lanes: dict[int, int] = {}
-        with _timed(prof, tracer, "gather"):
+        band_fallbacks = peak_wavefront_bytes = 0
+        with prof.stage("gather"):
             for worker_id, chunk_start, busy, chunk_outcomes, chunk_profile in (
                 chunk_results
             ):
@@ -631,6 +614,8 @@ class BatchAlignmentEngine:
                         },
                     )
                 for outcome in chunk_outcomes:
+                    band_fallbacks += outcome.band_fallback
+                    peak_wavefront_bytes += outcome.peak_wavefront_bytes
                     key = keys_in_order[outcome.slot]
                     self.cache.put_outcome(key, outcome)
                     for idx in pending[key]:
@@ -639,10 +624,6 @@ class BatchAlignmentEngine:
         elapsed = time.perf_counter() - start
         assert all(o is not None for o in outcomes), "engine lost a pair"
         errors = sum(1 for o in outcomes if not o.ok)
-        profile_dict = prof.as_dict()
-        # Band-capable backends report these as zero-second counter
-        # stages riding the per-chunk profile (``StageProfiler.count``);
-        # surface them as first-class report fields.
         report = BatchReport(
             backend=cfg.backend,
             workers=cfg.workers,
@@ -661,21 +642,15 @@ class BatchAlignmentEngine:
                 # reads did no work.
                 if o.success
             ),
-            band_fallbacks=int(
-                profile_dict.get("band_fallbacks", {}).get("calls", 0)
-            ),
-            peak_wavefront_bytes=int(
-                profile_dict.get("peak_wavefront_bytes", {}).get("calls", 0)
-            ),
+            band_fallbacks=band_fallbacks,
+            peak_wavefront_bytes=peak_wavefront_bytes,
             worker_stats=sorted(worker_stats.values(), key=lambda w: w.worker_id),
-            profile=profile_dict,
+            profile=prof.as_dict(),
         )
         # Publish through the observability layer: counters reconcile
         # field-for-field with the report, and the batch becomes one
         # span on the trace timeline.
-        registry = get_registry()
-        publish_batch_report(report, registry)
-        prof.publish(registry, "engine", {"backend": cfg.backend})
+        publish_batch_report(report)
         if tracer is not None:
             tracer.complete(
                 "batch",
@@ -812,13 +787,10 @@ def merge_batch_reports(
     if wall_seconds is not None and wall_seconds < 0:
         raise ValueError("wall_seconds must be >= 0 (or None)")
     first = reports[0]
-    profile: dict = {}
+    profile = StageProfiler()
     workers: dict[int, WorkerStats] = {}
     for rep in reports:
-        for stage, entry in rep.profile.items():
-            slot = profile.setdefault(stage, {"calls": 0, "seconds": 0.0})
-            slot["calls"] += entry.get("calls", 0)
-            slot["seconds"] += entry.get("seconds", 0.0)
+        profile.merge(rep.profile)
         for ws in rep.worker_stats:
             merged = workers.setdefault(ws.worker_id, WorkerStats(ws.worker_id))
             merged.chunks += ws.chunks
@@ -843,5 +815,5 @@ def merge_batch_reports(
         ),
         swg_cells=sum(r.swg_cells for r in reports),
         worker_stats=sorted(workers.values(), key=lambda w: w.worker_id),
-        profile=profile,
+        profile=profile.as_dict(),
     )

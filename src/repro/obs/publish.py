@@ -39,7 +39,9 @@ def publish_batch_report(
     Counters reconcile field-for-field with the report (the CLI
     round-trip test asserts exact equality): ``engine_pairs_total`` ==
     ``num_pairs``, ``engine_cache_hits_total`` == ``cache_hits`` and so
-    on, all labelled by backend.
+    on, all labelled by backend.  Each ``report.profile`` stage adds
+    its seconds and calls to ``engine_stage_seconds_total`` and
+    ``engine_stage_calls_total``, labelled by stage and backend.
     """
     reg = registry or get_registry()
     labels = {"backend": report.backend}
@@ -63,6 +65,12 @@ def publish_batch_report(
     reg.gauge(
         "engine_workers", "Configured worker processes"
     ).set(report.workers, labels)
+    seconds = reg.counter("engine_stage_seconds_total", "Wall-time per stage")
+    calls = reg.counter("engine_stage_calls_total", "Invocations per stage")
+    for stage, entry in report.profile.items():
+        stage_labels = {"stage": stage, **labels}
+        seconds.inc(entry["seconds"], stage_labels)
+        calls.inc(entry["calls"], stage_labels)
 
 
 def publish_accelerator_batch(

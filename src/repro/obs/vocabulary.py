@@ -35,7 +35,7 @@ METRIC_NAMES = frozenset({
     "engine_swg_cells_total",
     "engine_batch_seconds",
     "engine_workers",
-    # per-stage wall-time (StageProfiler.publish, prefix "engine")
+    # per-stage wall-time (publish_batch_report, from BatchReport.profile)
     "engine_stage_seconds_total",
     "engine_stage_calls_total",
     # alignment service (repro.serve: micro-batching admission control)

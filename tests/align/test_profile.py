@@ -18,12 +18,30 @@ class TestStageProfiler:
     def test_add_and_count(self):
         prof = StageProfiler()
         prof.add("extend", 0.5, calls=2)
-        prof.count("pack_hits", 7)
-        assert prof.stages["extend"].calls == 2
-        assert prof.stages["extend"].seconds == 0.5
-        assert prof.stages["pack_hits"].calls == 7
-        assert prof.stages["pack_hits"].seconds == 0.0
-        assert prof.total_seconds == 0.5
+        prof.add("extend", 0.25)
+        assert prof.stages["extend"].calls == 3
+        assert prof.stages["extend"].seconds == 0.75
+
+    def test_tracer_sink_gets_one_span_per_stage(self):
+        class Sink:
+            def __init__(self):
+                self.spans = []
+
+            def perf_to_us(self, perf_seconds):
+                return perf_seconds * 1e6
+
+            def complete(self, name, cat, ts_us, dur_us, *, args=None):
+                self.spans.append((name, cat, dur_us, args))
+
+        sink = Sink()
+        prof = StageProfiler(sink)
+        with prof.stage("execute", calls=2, args={"chunks": 2}):
+            pass
+        prof.add("ipc", 0.5)  # credited, not traced
+        ((name, cat, dur_us, args),) = sink.spans
+        assert (name, cat, args) == ("execute", "engine", {"chunks": 2})
+        assert dur_us == prof.stages["execute"].seconds * 1e6
+        assert prof.stages["execute"].calls == 2
 
     def test_merge_profiler_and_dict(self):
         a = StageProfiler()
@@ -60,12 +78,12 @@ class TestFormatProfile:
         prof = StageProfiler()
         prof.add("extend", 0.1)
         prof.add("compute", 0.3)
-        prof.count("pack_hits", 5)
+        prof.add("ipc", 0.0, calls=5)
         text = format_profile(prof.as_dict())
         lines = text.splitlines()
         assert lines[1].startswith("compute")
         assert lines[2].startswith("extend")
-        assert "pack_hits" in lines[3]
+        assert lines[3].startswith("ipc") and lines[3].split()[2] == "-"
         assert lines[-1].startswith("total")
 
     def test_empty_profile(self):

@@ -7,7 +7,6 @@ import pytest
 from repro.align import (
     AffinePenalties,
     DEFAULT_PENALTIES,
-    ScoreLimitExceeded,
     WfaAligner,
     swg_align,
     wfa_align,
@@ -114,28 +113,6 @@ class TestScoreOnlyMode:
             s1 = WfaAligner(keep_backtrace=False).align(a, b).score
             s2 = WfaAligner(keep_backtrace=True).align(a, b).score
             assert s1 == s2
-
-
-class TestScoreLimit:
-    def test_limit_exceeded_raises(self):
-        a = "A" * 30
-        b = "T" * 30  # 30 mismatches = score 120
-        with pytest.raises(ScoreLimitExceeded):
-            WfaAligner(max_score=60).align(a, b)
-
-    def test_limit_not_hit(self):
-        r = WfaAligner(max_score=200).align("A" * 30, "T" * 30)
-        assert r.score == 120
-
-    def test_limit_boundary_exact(self):
-        # Score exactly equal to the limit must still succeed.
-        r = WfaAligner(max_score=120).align("A" * 30, "T" * 30)
-        assert r.score == 120
-
-    def test_exception_carries_work(self):
-        with pytest.raises(ScoreLimitExceeded) as exc:
-            WfaAligner(max_score=8).align("A" * 30, "T" * 30)
-        assert exc.value.work.score_iterations > 0
 
 
 class TestWorkCounters:

@@ -8,7 +8,6 @@ import pytest
 from repro.align import (
     AffinePenalties,
     BatchedWfaAligner,
-    ScoreLimitExceeded,
     StageProfiler,
     WfaAligner,
     wfa_align_batched,
@@ -128,12 +127,6 @@ class TestOptions:
         scalar = scalar_results(pairs)
         assert [r.score for r in results] == [r.score for r in scalar]
         assert all(r.cigar is None for r in results)
-
-    def test_max_score_raises(self):
-        with pytest.raises(ScoreLimitExceeded):
-            BatchedWfaAligner(PEN, max_score=2).align_batch(
-                [("AAAA", "AAAA"), ("A" * 30, "T" * 30)]
-            )
 
     def test_profiler_records_stages(self):
         prof = StageProfiler()

@@ -7,7 +7,6 @@ import pytest
 from repro.align import (
     AffinePenalties,
     DEFAULT_PENALTIES,
-    ScoreLimitExceeded,
     VectorizedWfaAligner,
     WfaAligner,
     swg_align,
@@ -91,10 +90,6 @@ class TestModes:
     def test_score_only(self):
         r = VectorizedWfaAligner(keep_backtrace=False).align("ACGT", "AGGT")
         assert r.cigar is None and r.score == 4
-
-    def test_score_limit(self):
-        with pytest.raises(ScoreLimitExceeded):
-            VectorizedWfaAligner(max_score=40).align("A" * 30, "T" * 30)
 
 
 class TestMediumScale:

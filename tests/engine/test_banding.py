@@ -11,6 +11,8 @@ The engine contract under ``EngineConfig.band_width``:
   path, and the result cache (band-specific keys).
 """
 
+import multiprocessing
+import os
 import random
 from dataclasses import replace as dc_replace
 
@@ -258,6 +260,48 @@ class TestBandFallback:
         assert res.report.band_fallbacks == 0
 
 
+class _OddDeadBandScalar(WfaAligner):
+    """The band dies on odd-length texts only."""
+
+    def align(self, a, b):
+        result = super().align(a, b)
+        if self.band_width is not None and len(b) % 2:
+            return dc_replace(
+                result, score=-1, cigar=None, reached_end=False
+            )
+        return result
+
+
+class _OnePairAligner(_OddDeadBandScalar):
+    """Fails once asked for a second pair: raises, or exits a worker."""
+
+    fault = "raise"
+
+    def align(self, a, b):
+        if getattr(self, "used", False):
+            if self.fault == "exit" and multiprocessing.parent_process():
+                os._exit(17)
+            raise RuntimeError("injected multi-pair chunk fault")
+        self.used = True
+        return super().align(a, b)
+
+
+def _scalar_band_counters(pairs, band_width: int) -> tuple[int, int]:
+    """``(band_fallbacks, peak_wavefront_bytes)`` summed pair by pair."""
+    fallbacks = peak = 0
+    for pair in pairs:
+        a, b = pair.pattern, pair.text
+        banded = _OddDeadBandScalar(keep_backtrace=False, band_width=band_width)
+        res = banded.align(a, b)
+        pair_peak = res.work.peak_wavefront_bytes
+        if not res.reached_end:
+            fallbacks += 1
+            exact = WfaAligner(keep_backtrace=False).align(a, b)
+            pair_peak = max(pair_peak, exact.work.peak_wavefront_bytes)
+        peak += pair_peak
+    return fallbacks, peak
+
+
 class TestBandComposition:
     def test_error_channel_composes(self):
         """A malformed pair errors per-pair; banded neighbours still align."""
@@ -300,40 +344,62 @@ class TestBandComposition:
         )
         assert k_exact != k_banded
 
-    def test_isolated_replay_keeps_the_band(self, monkeypatch):
-        """A poisoned chunk's pair-at-a-time replay still runs banded.
+    def test_isolated_replay_keeps_the_band(self, monkeypatch, _fresh_registry):
+        """Every dispatch path keeps the band and the band counters.
 
-        The aligner raises once asked for a second pair, so every
-        multi-pair chunk fails and each pair is replayed alone; the
-        replayed scores (some pessimistic at this band) must equal a
-        clean banded run's, not the exact ones, and so must the band
-        counters of the report.
+        The aligner's band dies on odd-length texts.  Its faulty
+        variant fails once asked for a second pair: in the engine
+        process by raising, so each pair of the chunk is replayed alone;
+        in a pool worker by killing it, so the lost chunk is quarantined
+        pair by pair.  Each path must return a clean banded run's scores
+        (some pessimistic at this band, not the exact ones), and its
+        ``band_fallbacks`` / ``peak_wavefront_bytes`` must be the scalar
+        aligner's per-pair sums, carried by the outcomes: neither name
+        is a profile stage or an ``engine_stage_*`` series.
         """
         pairs = PairGenerator(
             length=300, error_rate=0.15, seed=5, max_text_length=330
-        ).batch(24)
-        clean = align_pairs(pairs, backend="scalar", cache_size=0, band_width=4)
+        ).batch(12)
         exact = align_pairs(pairs, backend="scalar", cache_size=0)
+        monkeypatch.setattr(backends_mod, "WfaAligner", _OddDeadBandScalar)
+        options = dict(backend="scalar", cache_size=0, band_width=4)
+        runs = {
+            "workers=1": align_pairs(pairs, **options),
+            "workers=2": align_pairs(pairs, workers=2, chunk_size=4, **options),
+        }
+        clean = runs["workers=1"]
         assert clean.scores != exact.scores  # the band matters here
-
-        class OnePairAligner(WfaAligner):
-            def align(self, a, b):
-                if getattr(self, "used", False):
-                    raise RuntimeError("injected multi-pair chunk fault")
-                self.used = True
-                return super().align(a, b)
-
-        monkeypatch.setattr(backends_mod, "WfaAligner", OnePairAligner)
-        replayed = align_pairs(
-            pairs, backend="scalar", cache_size=0, band_width=4
+        monkeypatch.setattr(backends_mod, "WfaAligner", _OnePairAligner)
+        runs["isolated"] = align_pairs(pairs, **options)
+        monkeypatch.setattr(_OnePairAligner, "fault", "exit")
+        runs["quarantined"] = align_pairs(
+            pairs, workers=2, chunk_size=6, chunk_timeout=2.0,
+            max_chunk_retries=0, **options,
         )
-        assert replayed.report.errors == 0
-        assert replayed.scores == clean.scores
-        assert clean.report.peak_wavefront_bytes > 0
-        for counter in ("peak_wavefront_bytes", "band_fallbacks"):
-            assert getattr(replayed.report, counter) == getattr(
-                clean.report, counter
-            )
+        # Quarantined chunks are accounted to the engine process.
+        assert os.getpid() in {
+            w.worker_id for w in runs["quarantined"].report.worker_stats
+        }
+
+        expected = _scalar_band_counters(pairs, 4)
+        assert expected[0] > 0 and expected[1] > 0
+        work_counters = {"band_fallbacks", "peak_wavefront_bytes"}
+        for name, res in runs.items():
+            assert res.report.errors == 0, name
+            assert res.scores == clean.scores, name
+            assert work_counters.isdisjoint(res.report.profile), name
+            assert (
+                res.report.band_fallbacks,
+                res.report.peak_wavefront_bytes,
+            ) == expected, name
+        snapshot = _fresh_registry.snapshot()
+        stages = {
+            series["labels"]["stage"]
+            for metric in ("engine_stage_seconds_total", "engine_stage_calls_total")
+            for series in snapshot[metric]["series"]
+        }
+        assert "execute" in stages
+        assert work_counters.isdisjoint(stages)
 
     def test_banded_cache_hits_are_stable(self):
         pairs = _workload(8, count=8)

@@ -14,7 +14,7 @@ gaps *across artifacts*, whole-program:
   (``complete``/``span``/``cycle_span`` call sites, resolved through
   the call graph — literals, f-strings as wildcards, loop bindings and
   literal arguments threaded through helper parameters like
-  ``_timed``) matches a row of the docs' event catalogue, and every
+  ``StageProfiler.stage``) matches a row of the docs' event catalogue, and every
   catalogued event is actually emitted somewhere;
 * span begin/end discipline: a function that captures a span clock
   (``start = tracer.now_us()``) must either emit a span itself or pass
@@ -246,8 +246,7 @@ class ArtifactConsistencyRule(ProjectRule):
         index: ProjectIndex, func: FunctionInfo, param: str
     ) -> set[str]:
         """Literal values callers pass for ``param`` of ``func`` — the
-        helper-function span-name pattern (``_timed(prof, tracer,
-        "resolve")``)."""
+        helper-function span-name pattern (``prof.stage("resolve")``)."""
         idx = func.params.index(param)
         out: set[str] = set()
         for call in index.callers_of(func.qualname):
