@@ -3,11 +3,12 @@
 Three measurements on the pure software alignment path (no cycle model):
 
 * **Short-read batch** — the acceptance workload: one chunk of
-  distinct short reads, backtrace off.  ``scalar`` and ``batched`` are
-  timed on exactly the same ``align_chunk`` call the engine workers
-  make; ``vectorized`` is not an engine backend, so its aligner
-  (:class:`repro.align.VectorizedWfaAligner`) runs the chunk pair by
-  pair directly.  The ``batched`` backend must deliver >= 2x the
+  distinct short reads, backtrace off.  ``batched`` is timed on exactly
+  the same ``align_chunk`` call the engine workers make; ``scalar`` and
+  ``vectorized`` are not engine backends, so their aligners
+  (:class:`repro.align.WfaAligner`,
+  :class:`repro.align.VectorizedWfaAligner`) run the chunk pair by pair
+  directly.  The ``batched`` backend must deliver >= 2x the
   pairs/s of ``vectorized`` — the batched kernels amortise numpy
   dispatch over the whole chunk where the per-pair vectorised aligner
   pays it per wavefront.
@@ -30,7 +31,7 @@ import time
 
 import pytest
 
-from repro.align import DEFAULT_PENALTIES, VectorizedWfaAligner
+from repro.align import DEFAULT_PENALTIES, VectorizedWfaAligner, WfaAligner
 from repro.engine import align_pairs
 from repro.engine.backends import get_backend
 from repro.reporting import format_table
@@ -41,6 +42,8 @@ BATCH_PAIRS = int(os.environ.get("REPRO_BATCH_BENCH_PAIRS", "96"))
 READ_LEN = 150
 ERROR_RATE = 0.05
 BACKENDS = ("scalar", "vectorized", "batched")
+#: The per-pair aligners, which are not engine backends.
+PER_PAIR = {"scalar": WfaAligner, "vectorized": VectorizedWfaAligner}
 
 
 def _workload(num_pairs: int, length: int, seed: int = 13):
@@ -50,11 +53,9 @@ def _workload(num_pairs: int, length: int, seed: int = 13):
 
 def _chunk_runner(name: str, pairs, backtrace: bool):
     """A call that aligns the whole chunk and returns its scores in order."""
-    if name == "vectorized":
+    if name in PER_PAIR:
         def run():
-            aligner = VectorizedWfaAligner(
-                DEFAULT_PENALTIES, keep_backtrace=backtrace
-            )
+            aligner = PER_PAIR[name](DEFAULT_PENALTIES, keep_backtrace=backtrace)
             return [aligner.align(p.pattern, p.text).score for p in pairs]
         return run
 

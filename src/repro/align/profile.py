@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = ["StageStats", "StageProfiler", "format_profile"]
 
@@ -109,25 +109,55 @@ class StageProfiler:
         }
 
 
-def format_profile(profile: dict[str, dict]) -> str:
+def format_profile(
+    profile: dict[str, dict],
+    elapsed_seconds: float = 0.0,
+    outer: Sequence[str] = (),
+    container: str = "",
+) -> str:
     """Human-readable table of an :meth:`StageProfiler.as_dict` payload.
 
-    Stages are sorted by descending wall-time; zero-second stages sink
-    to the bottom and show ``-`` in the time columns.
+    Without ``outer`` the stages are taken to be disjoint: sorted by
+    descending wall-time, each a share of their sum, the ``total`` row.
+    With ``outer``, those stages (in that order) partition
+    ``elapsed_seconds``: each is a share of it, the remainder is an
+    explicit ``unaccounted`` row, and the last row is ``elapsed``.
+    Every other stage ran inside ``container`` and is listed, indented,
+    under it as a share of the container's seconds.  Zero-second
+    stages show ``-`` in the time columns.
     """
     if not profile:
         return "profile: (no stages recorded)"
-    total = sum(entry["seconds"] for entry in profile.values())
-    rows = sorted(
-        profile.items(), key=lambda kv: (-kv[1]["seconds"], kv[0])
-    )
+
+    def by_time(names: Iterable[str]) -> list[str]:
+        return sorted(names, key=lambda name: (-profile[name]["seconds"], name))
+
+    def row(label: str, calls: object, seconds: float, whole: float) -> str:
+        if not seconds:
+            return f"{label:<14} {calls:>8} {'-':>9} {'-':>6}"
+        share = f"{seconds / whole:.0%}" if whole else "-"
+        return f"{label:<14} {calls:>8} {seconds:>9.4f} {share:>6}"
+
+    def stage_row(name: str, whole: float, indent: str = "") -> str:
+        entry = profile[name]
+        return row(indent + name, entry["calls"], entry["seconds"], whole)
+
     lines = [f"{'stage':<14} {'calls':>8} {'seconds':>9} {'share':>6}"]
-    for name, entry in rows:
-        calls, seconds = entry["calls"], entry["seconds"]
-        if seconds > 0.0:
-            share = f"{seconds / total:.0%}" if total else "-"
-            lines.append(f"{name:<14} {calls:>8} {seconds:>9.4f} {share:>6}")
-        else:
-            lines.append(f"{name:<14} {calls:>8} {'-':>9} {'-':>6}")
-    lines.append(f"{'total':<14} {'':>8} {total:>9.4f} {'100%':>6}")
+    if not outer:
+        total = sum(entry["seconds"] for entry in profile.values())
+        lines += [stage_row(name, total) for name in by_time(profile)]
+        lines.append(f"{'total':<14} {'':>8} {total:>9.4f} {'100%':>6}")
+        return "\n".join(lines)
+    inner = by_time(name for name in profile if name not in outer)
+    accounted = 0.0
+    for name in outer:
+        if name not in profile:
+            continue
+        accounted += profile[name]["seconds"]
+        lines.append(stage_row(name, elapsed_seconds))
+        if name == container:
+            whole = profile[name]["seconds"]
+            lines += [stage_row(sub, whole, "  ") for sub in inner]
+    lines.append(row("unaccounted", "", elapsed_seconds - accounted, elapsed_seconds))
+    lines.append(f"{'elapsed':<14} {'':>8} {elapsed_seconds:>9.4f} {'100%':>6}")
     return "\n".join(lines)

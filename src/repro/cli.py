@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="engine instances behind the shared queue (up to this many "
-        "batches in flight at once)",
+        "batches in flight at once); extra instances pay off only with "
+        "-j 2 or more, as with -j 1 they share one interpreter",
     )
     srv.add_argument(
         "--ready-file",

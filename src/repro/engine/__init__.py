@@ -2,13 +2,13 @@
 
 Where the paper scales by instantiating hardware aligner sections, this
 package scales at the system level: a batch of sequence pairs is
-resolved against an LRU result cache, duplicates are coalesced, and the
-remainder is sharded in chunks across a ``multiprocessing`` worker pool
-running any registered backend (software WFA — scalar, vectorized, or
-cross-pair ``batched``, three instances of one backend class — the SWG
-oracle, or the cycle-accurate ``wfasic`` simulator).  Every backend
-has one method, ``align_chunk(items, penalties, backtrace, band_width)
--> (outcomes, profile | None)``, and every engine path calls it.  Each
+resolved against the engine's own LRU result cache (keyed on the pair),
+duplicates are coalesced, and the remainder is sharded in chunks across
+a ``multiprocessing`` worker pool running one registered backend: the
+cross-pair ``batched`` software WFA (the default), the ``swg`` oracle,
+or the cycle-accurate ``wfasic`` simulator.  Every backend has one
+method, ``align_chunk(items, penalties, backtrace, band_width) ->
+(outcomes, profile | None)``, and every engine path calls it.  Each
 parallel chunk is pickled to a worker and its outcomes are pickled
 back.  Every batch report carries per-stage profiling counters
 (pack/compute/extend/backtrace from the backend,
@@ -29,7 +29,7 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .cache import AlignmentCache, CacheStats
+from .cache import AlignmentCache
 from .engine import (
     BatchAlignmentEngine,
     BatchReport,
@@ -55,7 +55,6 @@ __all__ = [
     "AlignmentCache",
     "BatchAlignmentEngine",
     "BatchReport",
-    "CacheStats",
     "EngineConfig",
     "EngineResult",
     "ERROR_BACKEND",

@@ -8,26 +8,21 @@ that only plain strings and dataclasses ever cross a process boundary —
 the worker side of the engine looks the backend up again in its own
 process (see :mod:`repro.engine.engine`).
 
-Four backends ship with the repository.  Two are software WFAs, each
-an instance of :class:`SoftwareWfaBackend` that owns the chunk loop,
-the band-then-exact retry and each outcome's ``band_fallback`` /
-``peak_wavefront_bytes`` work counters; they differ only in how they
-build an aligner and run pairs through it:
+Three backends ship with the repository, one per concept:
 
-* ``batched`` — the cross-pair batched WFA
-  (:class:`repro.align.BatchedWfaAligner`), the default: the whole chunk
-  advances in lockstep through shared 2D kernels, and its stage profile
-  (pack/compute/extend/backtrace) is returned with the chunk,
-* ``scalar`` — the readable reference WFA (:class:`repro.align.WfaAligner`),
-  pair by pair, banded on request.
-
-The other two:
-
+* ``batched`` — the software WFA, the default: the cross-pair batched
+  aligner (:class:`repro.align.BatchedWfaAligner`) advances the whole
+  chunk in lockstep through shared 2D kernels, banded on request, and
+  its stage profile (pack/compute/extend/backtrace) is returned with
+  the chunk,
 * ``swg`` — the :func:`repro.align.swg_align` DP oracle (Eq. 2),
 * ``wfasic`` — the cycle-accurate accelerator simulator: the chunk is
   encoded as a §4.2 input image, run through
   :class:`repro.wfasic.WfasicAccelerator`, and (with backtrace on) the
   CIGARs recovered by the CPU backtrace over the §4.4 result stream.
+
+The per-pair :class:`repro.align.WfaAligner` is the reference the
+``batched`` backend is tested against; it is not a backend.
 
 New backends register through :func:`register_backend`; that is the
 extension point.  A backend returns a profile (or ``None``) with every
@@ -37,18 +32,18 @@ chunk; the engine merges it into the batch report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..align.penalties import AffinePenalties
 from ..align.profile import StageProfiler
 from ..align.swg import SwgResult, swg_align
-from ..align.wfa import WfaAligner, WfaResult
+from ..align.wfa import WfaResult
 from ..align.wfa_batched import BatchedWfaAligner
 
 __all__ = [
     "PairOutcome",
     "AlignmentBackend",
-    "SoftwareWfaBackend",
+    "BatchedWfaBackend",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -80,7 +75,7 @@ class PairOutcome:
       — see :mod:`repro.engine.validation` for the ``error_kind``
       taxonomy.  Errored outcomes are never cached.
 
-    The software WFA backends also report the work the pair cost:
+    The ``batched`` backend also reports the work the pair cost:
     ``peak_wavefront_bytes`` (its peak stored wavefront bytes) and
     ``band_fallback`` (its banded run died and it was re-aligned
     exact).  Other backends, and cache hits, leave them at zero.
@@ -173,36 +168,20 @@ def _outcome(
     )
 
 
-#: Aligns a list of ``(pattern, text)`` pairs, one result per pair in order.
-PairRunner = Callable[[list[tuple[str, str]]], list[WfaResult]]
-#: Builds a runner from ``(penalties, backtrace, band_width, profiler)``.
-RunnerBuilder = Callable[
-    [AffinePenalties, bool, "int | None", StageProfiler], PairRunner
-]
+class BatchedWfaBackend(AlignmentBackend):
+    """The software WFA: the whole chunk in lockstep.
 
-
-class SoftwareWfaBackend(AlignmentBackend):
-    """A software WFA aligner behind the chunk contract.
-
-    The software WFAs differ only in how they build an aligner and run a
-    list of pairs through it: ``build(penalties, backtrace, band_width,
-    profiler)`` returns that :data:`PairRunner`.  Everything else is
-    written once, here.  Under ``band_width`` the chunk first runs
-    banded; pairs whose band died (``reached_end=False``) are re-run
-    through an exact runner, so a collapsed band degrades to exact
-    alignment instead of a failed pair.  Each outcome carries the pair's
-    ``peak_wavefront_bytes`` and whether it was retried
-    (``band_fallback``); a retried pair is charged the larger of its
-    banded and exact peaks.  The profile holds the aligner's stage
-    times.
+    Under ``band_width`` the chunk first runs banded; pairs whose band
+    died (``reached_end=False``) are re-run exact, so a collapsed band
+    degrades to exact alignment instead of a failed pair.  Each outcome
+    carries the pair's ``peak_wavefront_bytes`` and whether it was
+    retried (``band_fallback``); a retried pair is charged the larger
+    of its banded and exact peaks.  The profile holds the aligner's
+    stage times, both runs included.
     """
 
-    def __init__(
-        self, name: str, build: RunnerBuilder, *, supports_band: bool
-    ) -> None:
-        self.name = name
-        self.build = build
-        self.supports_band = supports_band
+    name = "batched"
+    supports_band = True
 
     def align_chunk(
         self,
@@ -212,15 +191,23 @@ class SoftwareWfaBackend(AlignmentBackend):
         band_width: int | None = None,
     ) -> tuple[list[PairOutcome], dict | None]:
         profiler = StageProfiler()
+
+        def run(pairs: list[tuple[str, str]], band: int | None) -> list[WfaResult]:
+            return BatchedWfaAligner(
+                penalties,
+                keep_backtrace=backtrace,
+                profiler=profiler,
+                band_width=band,
+            ).align_batch(pairs)
+
         pairs = [(pattern, text) for _, pattern, text in items]
-        results = self.build(penalties, backtrace, band_width, profiler)(pairs)
+        results = run(pairs, band_width)
         peaks = [res.work.peak_wavefront_bytes for res in results]
         # Only a banded run can stop short of the end.
         retried = [not res.reached_end for res in results]
         failed = [i for i, dead in enumerate(retried) if dead]
         if failed:
-            exact = self.build(penalties, backtrace, None, profiler)
-            for i, res in zip(failed, exact([pairs[i] for i in failed])):
+            for i, res in zip(failed, run([pairs[i] for i in failed], None)):
                 results[i] = res
                 peaks[i] = max(peaks[i], res.work.peak_wavefront_bytes)
         outcomes = [
@@ -230,10 +217,6 @@ class SoftwareWfaBackend(AlignmentBackend):
             )
         ]
         return outcomes, profiler.as_dict()
-
-
-def _pairwise(aligner: WfaAligner) -> PairRunner:
-    return lambda pairs: [aligner.align(a, b) for a, b in pairs]
 
 
 class SwgBackend(AlignmentBackend):
@@ -335,28 +318,5 @@ def backend_names() -> list[str]:
     return sorted(_BACKENDS)
 
 
-for _backend in (
-    # The readable reference WFA, pair by pair.
-    SoftwareWfaBackend(
-        "scalar",
-        lambda penalties, backtrace, band, _profiler: _pairwise(
-            WfaAligner(penalties, keep_backtrace=backtrace, band_width=band)
-        ),
-        supports_band=True,
-    ),
-    # The whole chunk in lockstep; the aligner's
-    # pack/compute/extend/backtrace profile rides back with it.
-    SoftwareWfaBackend(
-        "batched",
-        lambda penalties, backtrace, band, profiler: BatchedWfaAligner(
-            penalties,
-            keep_backtrace=backtrace,
-            profiler=profiler,
-            band_width=band,
-        ).align_batch,
-        supports_band=True,
-    ),
-    SwgBackend(),
-    WfasicBackend(),
-):
+for _backend in (BatchedWfaBackend(), SwgBackend(), WfasicBackend()):
     register_backend(_backend)

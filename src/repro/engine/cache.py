@@ -2,53 +2,34 @@
 
 Serving traffic repeats itself: the same read aligned against the same
 reference window arrives again and again (duplicate requests, retries,
-seeds hitting the same region).  Re-running WFA for an identical
-``(pattern, text, penalties)`` triple is pure waste, so the engine keeps
-a bounded LRU of final outcomes and answers repeats from memory.
+seeds hitting the same region).  Re-running WFA for an identical pair
+is pure waste, so the engine keeps a bounded LRU of final outcomes and
+answers repeats from memory.
 
-The key includes the backend name and the backtrace flag: scores agree
-across backends, but CIGAR availability and the hardware success flag do
-not, and a cache must never change *what* a request would have returned.
-The band width is part of the key for the same reason: a banded run can
-return a pessimistic score when the band is narrower than the optimal
-path's diagonal drift, so banded and exact outcomes are distinct series.
+The key is the ``(pattern, text)`` pair alone.  Every engine owns its
+cache and a frozen :class:`repro.engine.EngineConfig`, so the backend,
+penalties, backtrace flag and band width — everything else that decides
+an outcome — are the same for every entry of one cache.  Engines that
+differ in any of them have separate caches, so a cache never changes
+*what* a request would have returned.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
-from ..align.penalties import AffinePenalties
 from .backends import PairOutcome
 
-__all__ = ["CacheStats", "AlignmentCache"]
+__all__ = ["AlignmentCache"]
 
+#: A cache key: the ``(pattern, text)`` pair.
+CacheKey = tuple[str, str]
 #: A cached outcome: (score, success, compact CIGAR or None).
 CachedValue = tuple[int, bool, "str | None"]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total probes: hits plus misses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class AlignmentCache:
-    """Bounded LRU of alignment outcomes.
+    """Bounded LRU of alignment outcomes, keyed on ``(pattern, text)``.
 
     ``capacity`` is the maximum number of cached outcomes; ``0`` disables
     the cache entirely (every lookup misses, nothing is stored).
@@ -58,44 +39,19 @@ class AlignmentCache:
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = capacity
-        self.stats = CacheStats()
-        self._store: OrderedDict[tuple, CachedValue] = OrderedDict()
+        self._store: OrderedDict[CacheKey, CachedValue] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._store)
 
-    @staticmethod
-    def make_key(
-        backend: str,
-        pattern: str,
-        text: str,
-        penalties: AffinePenalties,
-        backtrace: bool,
-        band_width: int | None = None,
-    ) -> tuple:
-        """Cache key: everything that determines an outcome."""
-        return (
-            backend,
-            pattern,
-            text,
-            penalties.mismatch,
-            penalties.gap_open,
-            penalties.gap_extend,
-            backtrace,
-            band_width,
-        )
-
-    def get(self, key: tuple) -> CachedValue | None:
+    def get(self, key: CacheKey) -> CachedValue | None:
         """Look up an outcome, refreshing its LRU position on a hit."""
         value = self._store.get(key)
-        if value is None:
-            self.stats.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.stats.hits += 1
+        if value is not None:
+            self._store.move_to_end(key)
         return value
 
-    def put(self, key: tuple, value: CachedValue) -> None:
+    def put(self, key: CacheKey, value: CachedValue) -> None:
         """Insert (or refresh) an outcome, evicting the LRU tail if full."""
         if self.capacity == 0:
             return
@@ -104,9 +60,8 @@ class AlignmentCache:
         self._store[key] = value
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)
-            self.stats.evictions += 1
 
-    def put_outcome(self, key: tuple, outcome: PairOutcome) -> None:
+    def put_outcome(self, key: CacheKey, outcome: PairOutcome) -> None:
         """Convenience: store a :class:`PairOutcome`'s cacheable fields.
 
         Errored outcomes (``ok=False``: backend exceptions, lost workers,
@@ -118,5 +73,5 @@ class AlignmentCache:
         self.put(key, (outcome.score, outcome.success, outcome.cigar))
 
     def clear(self) -> None:
-        """Drop every entry (the counters are kept)."""
+        """Drop every entry."""
         self._store.clear()

@@ -5,9 +5,9 @@ where the paper instantiates up to 64 hardware aligner sections, the
 engine shards a batch of sequence pairs across a ``multiprocessing``
 worker pool.  The moving parts, in dispatch order:
 
-1. **Cache resolve** — each pair is looked up in an LRU keyed on
-   ``(backend, pattern, text, penalties, backtrace)``; hits never reach
-   a worker.
+1. **Cache resolve** — each pair is looked up in the engine's own LRU,
+   keyed on ``(pattern, text)`` (the engine's frozen config fixes
+   everything else); hits never reach a worker.
 2. **Coalescing** — duplicate misses *within* the batch are collapsed to
    one work item; every duplicate is answered from the first result.
 3. **Chunked dispatch** — remaining unique items are grouped into chunks
@@ -26,7 +26,7 @@ verification campaign ("sends data in unexpected formats and checks the
 CPU does not hang", §5.1): a validation/normalization pass runs before
 step 1 (see :mod:`repro.engine.validation`), workers isolate backend
 exceptions per pair, and the parallel path survives chunk timeouts and
-worker death through bounded resubmission with in-process degradation.
+worker death through bounded resubmission, then per-pair quarantine.
 One malformed pair yields one errored :class:`PairOutcome`; it never
 costs the batch.  ``EngineConfig.strict`` restores raise-on-first-error
 for tests.
@@ -74,6 +74,11 @@ __all__ = [
 ]
 
 
+#: The engine's own stages, in order.  They partition a batch's wall
+#: time; every other profile stage runs inside ``execute``.
+ENGINE_STAGES = ("resolve", "dispatch", "execute", "gather")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Static configuration of one engine instance.
@@ -82,8 +87,9 @@ class EngineConfig:
     ----------
     backend:
         Name of a registered backend (``batched``, the default and the
-        fastest software WFA; ``scalar``, ``swg``, ``wfasic``; or
-        anything added via :func:`repro.engine.register_backend`).
+        software WFA; ``swg``, the DP oracle; ``wfasic``, the
+        accelerator simulator; or anything added via
+        :func:`repro.engine.register_backend`).
     workers:
         Worker processes.  ``1`` (the default) runs everything
         in-process — the serial path, with no pool and no IPC.
@@ -114,11 +120,11 @@ class EngineConfig:
         lost (hung backend or dead worker); ``None`` waits forever.
         Only the parallel path uses it.
     max_chunk_retries:
-        Resubmissions attempted for a lost chunk before degrading (to
-        in-process execution, or per-pair timeout errors).
+        Resubmissions attempted for a lost chunk before it is
+        quarantined pair by pair, one disposable process per pair.
     band_width:
         Adaptive wavefront band for long reads (``docs/long-reads.md``):
-        band-capable backends (``scalar``, ``batched``) trim every
+        the band-capable backend (``batched``) trims every
         wavefront to this many diagonals, re-centred each step on the
         furthest-reaching cell, so peak wavefront memory is
         O(band × score) instead of O(length × score).  Results are
@@ -128,9 +134,8 @@ class EngineConfig:
         counted in :attr:`BatchReport.band_fallbacks`.  A band narrower
         than the alignment's diagonal drift can instead converge at a
         pessimistic — never optimistic — score, so size the band from
-        the expected indel imbalance (cached under a band-specific
-        key).  ``None`` (default) disables banding; only backends
-        declaring ``supports_band`` accept it.
+        the expected indel imbalance.  ``None`` (default) disables
+        banding; only backends declaring ``supports_band`` accept it.
     """
 
     backend: str = "batched"
@@ -272,8 +277,18 @@ class BatchReport:
         return "\n".join(lines)
 
     def describe_profile(self) -> str:
-        """The per-stage breakdown (the CLI ``--profile`` footer)."""
-        return format_profile(self.profile)
+        """The per-stage breakdown (the CLI ``--profile`` footer).
+
+        The engine's own stages (:data:`ENGINE_STAGES`) are shares of
+        ``elapsed_seconds``, with an ``unaccounted`` remainder; ``ipc``
+        and the backend's stages ran inside ``execute`` and are shown
+        as parts of it.  With more than one worker the backend's stages
+        are summed over the workers, so they can add up to more than
+        ``execute``.
+        """
+        return format_profile(
+            self.profile, self.elapsed_seconds, ENGINE_STAGES, "execute"
+        )
 
     def as_dict(self) -> dict:
         """JSON-friendly view (the CLI ``--format json`` summary)."""
@@ -448,7 +463,8 @@ class BatchAlignmentEngine:
     across batches (fork cost is paid once); :meth:`close` — or use as a
     context manager — tears it down.  The result cache likewise persists
     across batches, which is exactly what a long-lived serving process
-    wants.
+    wants; it belongs to this engine alone and is keyed on the pair, as
+    the frozen config fixes everything else an outcome depends on.
     """
 
     def __init__(self, config: EngineConfig | None = None) -> None:
@@ -505,7 +521,7 @@ class BatchAlignmentEngine:
         outcomes: list[PairOutcome | None] = [None] * len(pairs)
         cache_hits = 0
         rejected = 0
-        pending: dict[tuple, list[int]] = {}
+        pending: dict[tuple[str, str], list[int]] = {}
         work_items: list[PairItem] = []
         sequences: list[tuple[str, str]] = []
 
@@ -525,14 +541,7 @@ class BatchAlignmentEngine:
                         outcomes[idx] = PairOutcome.unsupported(idx, kind, msg)
                     rejected += 1
                     continue
-                key = AlignmentCache.make_key(
-                    cfg.backend,
-                    pattern,
-                    text,
-                    cfg.penalties,
-                    cfg.backtrace,
-                    cfg.band_width,
-                )
+                key = (pattern, text)
                 cached = self.cache.get(key)
                 if cached is not None:
                     score, success, cigar = cached
@@ -677,11 +686,12 @@ class BatchAlignmentEngine:
         ``chunk_timeout``.  A chunk whose result never arrives — hung
         backend, or a worker that died and took the task with it (the
         pool respawns the *worker*, but the task is lost) — is
-        resubmitted up to ``max_chunk_retries`` times, then degraded:
-        per-pair ``timeout`` errors if it kept timing out (re-running a
-        possibly-hanging chunk in-process would hang the engine), or an
-        in-process isolated replay for everything else.  If the pool
-        cannot be created at all, the whole batch runs in-process.
+        resubmitted up to ``max_chunk_retries`` times, then quarantined
+        pair by pair (:meth:`_degrade_chunk`): a hanging pair answers
+        ``timeout``, a pair that kills its process answers
+        ``worker_lost``, and every other pair gets its real result.  If
+        the pool cannot be created at all, the whole batch runs
+        in-process.
         Returns the chunk results (in payload order) plus the
         resubmission count.
         """
@@ -708,8 +718,7 @@ class BatchAlignmentEngine:
                     results.append(handle.get(cfg.chunk_timeout))
                     break
                 except Exception as exc:  # noqa: BLE001 — pool boundary
-                    timed_out = isinstance(exc, multiprocessing.TimeoutError)
-                    saw_timeout |= timed_out
+                    saw_timeout |= isinstance(exc, multiprocessing.TimeoutError)
                     if cfg.strict:
                         raise
                     if attempts < cfg.max_chunk_retries:
@@ -717,7 +726,7 @@ class BatchAlignmentEngine:
                         retries += 1
                         handle = pool.apply_async(_run_chunk, (payload,))
                         continue
-                    results.append(self._degrade_chunk(payload, timed_out))
+                    results.append(self._degrade_chunk(payload))
                     break
         if saw_timeout:
             # Hung workers may still occupy pool slots; start clean next
@@ -725,9 +734,7 @@ class BatchAlignmentEngine:
             self._reset_pool()
         return results, retries
 
-    def _degrade_chunk(
-        self, payload: ChunkPayload, timed_out: bool
-    ) -> ChunkResult:
+    def _degrade_chunk(self, payload: ChunkPayload) -> ChunkResult:
         """Last resort for a chunk the pool kept losing.
 
         The chunk is replayed pair-at-a-time, each pair in its own

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.align import Cigar, DEFAULT_PENALTIES, swg_align
+from repro.align import Cigar, DEFAULT_PENALTIES, WfaAligner, swg_align
 from repro.engine import (
     AlignmentBackend,
     backend_names,
@@ -17,21 +17,23 @@ from tests.util import assert_valid_cigar, random_pair
 
 class TestRegistry:
     def test_shipped_backends_present(self):
-        assert {"scalar", "batched", "swg", "wfasic"} <= set(
-            backend_names()
-        )
+        # One backend per concept: the software WFA, the DP oracle and
+        # the accelerator simulator.
+        assert backend_names() == ["batched", "swg", "wfasic"]
 
     def test_vectorized_aligner_is_not_a_backend(self):
-        # ``batched`` is the one software WFA on the serving path.
+        # ``batched`` is the one software WFA on the serving path; the
+        # per-pair aligners are references, not backends.
         assert "vectorized" not in backend_names()
+        assert "scalar" not in backend_names()
 
     def test_unknown_backend_lists_alternatives(self):
-        with pytest.raises(KeyError, match="scalar"):
+        with pytest.raises(KeyError, match="batched"):
             get_backend("no-such-backend")
 
     def test_register_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            register_backend(get_backend("scalar"))
+            register_backend(get_backend("batched"))
 
     def test_register_and_replace(self):
         class Fake(AlignmentBackend):
@@ -48,21 +50,20 @@ class TestRegistry:
             _BACKENDS.pop("fake-for-test", None)
 
 
-class TestBackendContracts:
-    @pytest.fixture(scope="class")
-    def chunk(self):
-        rng = random.Random(5)
-        items = []
-        for slot, (length, rate) in enumerate(
-            [(0, 0.0), (1, 0.5), (30, 0.05), (90, 0.15), (90, 0.0)]
-        ):
-            a, b = random_pair(rng, length, rate)
-            items.append((slot * 10, a, b))  # sparse slots must round-trip
-        return items
+@pytest.fixture(scope="module")
+def chunk():
+    rng = random.Random(5)
+    items = []
+    for slot, (length, rate) in enumerate(
+        [(0, 0.0), (1, 0.5), (30, 0.05), (90, 0.15), (90, 0.0)]
+    ):
+        a, b = random_pair(rng, length, rate)
+        items.append((slot * 10, a, b))  # sparse slots must round-trip
+    return items
 
-    @pytest.mark.parametrize(
-        "name", ["scalar", "batched", "swg", "wfasic"]
-    )
+
+class TestBackendContracts:
+    @pytest.mark.parametrize("name", ["batched", "swg", "wfasic"])
     def test_scores_match_oracle(self, name, chunk):
         outcomes, _ = get_backend(name).align_chunk(
             chunk, DEFAULT_PENALTIES, backtrace=False
@@ -73,9 +74,7 @@ class TestBackendContracts:
             assert outcome.score == swg_align(a, b).score
             assert outcome.cigar is None  # backtrace off
 
-    @pytest.mark.parametrize(
-        "name", ["scalar", "batched", "swg", "wfasic"]
-    )
+    @pytest.mark.parametrize("name", ["batched", "swg", "wfasic"])
     def test_backtrace_cigars_valid(self, name, chunk):
         outcomes, _ = get_backend(name).align_chunk(
             chunk, DEFAULT_PENALTIES, backtrace=True
@@ -108,6 +107,21 @@ class TestWfasicHardwareLimits:
 
 
 class TestBatchedBackendSpecifics:
+    @pytest.mark.parametrize("backtrace", [False, True])
+    def test_matches_the_scalar_aligner(self, backtrace, chunk):
+        # The per-pair WfaAligner is the reference: score, CIGAR and
+        # peak wavefront bytes, pair for pair.
+        outcomes, _ = get_backend("batched").align_chunk(
+            chunk, DEFAULT_PENALTIES, backtrace
+        )
+        aligner = WfaAligner(DEFAULT_PENALTIES, keep_backtrace=backtrace)
+        for (_, a, b), outcome in zip(chunk, outcomes):
+            ref = aligner.align(a, b)
+            assert outcome.score == ref.score
+            assert outcome.cigar == (ref.cigar.compact() if backtrace else None)
+            assert outcome.peak_wavefront_bytes == ref.work.peak_wavefront_bytes
+            assert not outcome.band_fallback
+
     def test_profiled_chunk_returns_stage_counters(self):
         rng = random.Random(17)
         items = [

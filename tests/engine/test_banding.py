@@ -8,7 +8,10 @@ The engine contract under ``EngineConfig.band_width``:
   re-aligned exact and counted (``BatchReport.band_fallbacks`` and the
   ``engine_band_fallbacks_total`` metric),
 * banding composes with the per-pair error channels, the parallel
-  path, and the result cache (band-specific keys).
+  path, and the result cache.
+
+The per-pair :class:`repro.align.WfaAligner` is the reference every
+banded engine run is checked against (:func:`_reference`).
 """
 
 import multiprocessing
@@ -20,10 +23,10 @@ import pytest
 
 from repro.align import BatchedWfaAligner, DEFAULT_PENALTIES, WfaAligner
 from repro.engine import (
-    AlignmentCache,
     BatchAlignmentEngine,
     EngineConfig,
     align_pairs,
+    backend_names,
 )
 from repro.engine import backends as backends_mod
 from repro.obs import MetricsRegistry, set_registry
@@ -40,9 +43,50 @@ def _fresh_registry():
     set_registry(previous)
 
 
+#: The band-capable backends.
+BAND_BACKENDS = [
+    name for name in backend_names() if backends_mod.get_backend(name).supports_band
+]
+
+
 def _workload(seed: int, count: int = 24) -> list[tuple[str, str]]:
     rng = random.Random(seed)
     return [random_pair(rng, rng.randint(0, 200), 0.1) for _ in range(count)]
+
+
+def _reference(pairs, band_width, *, backtrace=False, dead=lambda a, b: False):
+    """Per-pair ``WfaAligner`` answers under the engine's band contract.
+
+    One ``(score, cigar, band_fallback, peak_wavefront_bytes)`` per pair:
+    a pair whose band died (``reached_end=False``, or ``dead(a, b)``,
+    mirroring a fake aligner) is re-aligned exact and charged the larger
+    of its banded and exact peaks.
+    """
+    rows = []
+    for a, b in pairs:
+        res = WfaAligner(keep_backtrace=backtrace, band_width=band_width).align(a, b)
+        peak = res.work.peak_wavefront_bytes
+        fallback = not res.reached_end or (band_width is not None and dead(a, b))
+        if fallback:
+            res = WfaAligner(keep_backtrace=backtrace).align(a, b)
+            peak = max(peak, res.work.peak_wavefront_bytes)
+        cigar = res.cigar.compact() if backtrace else None
+        rows.append((res.score, cigar, fallback, peak))
+    return rows
+
+
+def _observed(res):
+    """The engine's answers, in :func:`_reference`'s shape."""
+    return [
+        (o.score, o.cigar, o.band_fallback, o.peak_wavefront_bytes)
+        for o in res.outcomes
+    ]
+
+
+def _assert_matches_reference(res, expected):
+    assert _observed(res) == expected
+    assert res.report.band_fallbacks == sum(row[2] for row in expected)
+    assert res.report.peak_wavefront_bytes == sum(row[3] for row in expected)
 
 
 class TestConfigValidation:
@@ -55,18 +99,18 @@ class TestConfigValidation:
             EngineConfig(backend="batched", band_width=0)
 
     def test_capable_backends_accept_band(self):
-        for backend in ("scalar", "batched"):
+        for backend in BAND_BACKENDS:
             cfg = EngineConfig(backend=backend, band_width=8)
             assert cfg.band_width == 8
 
     def test_supports_band_flags(self):
-        assert backends_mod.get_backend("scalar").supports_band
-        assert backends_mod.get_backend("batched").supports_band
+        assert BAND_BACKENDS == ["batched"]
         assert not backends_mod.get_backend("swg").supports_band
+        assert not backends_mod.get_backend("wfasic").supports_band
 
 
 class TestBandedOutcomes:
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    @pytest.mark.parametrize("backend", BAND_BACKENDS)
     def test_wide_band_bit_identical_to_exact(self, backend):
         pairs = _workload(1)
         exact = align_pairs(pairs, backend=backend, backtrace=True, cache_size=0)
@@ -83,7 +127,7 @@ class TestBandedOutcomes:
         ]
         assert banded.report.band_fallbacks == 0
 
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    @pytest.mark.parametrize("backend", BAND_BACKENDS)
     def test_narrow_band_is_pessimistic_never_optimistic(self, backend):
         pairs = _workload(2)
         exact = align_pairs(pairs, backend=backend, cache_size=0)
@@ -93,45 +137,34 @@ class TestBandedOutcomes:
         assert all(b >= e for b, e in zip(banded.scores, exact.scores))
 
     def test_scalar_and_batched_agree_banded(self):
+        """The batched backend equals the scalar aligner, pair for pair."""
         pairs = _workload(3)
         for bw in (2, 16):
-            s = align_pairs(
-                pairs, backend="scalar", backtrace=True, cache_size=0,
-                band_width=bw,
-            )
-            b = align_pairs(
+            res = align_pairs(
                 pairs, backend="batched", backtrace=True, cache_size=0,
                 band_width=bw,
             )
-            assert s.scores == b.scores
-            assert [o.cigar for o in s.outcomes] == [
-                o.cigar for o in b.outcomes
-            ]
+            _assert_matches_reference(
+                res, _reference(pairs, bw, backtrace=True)
+            )
 
     def test_peak_wavefront_bytes_reported(self):
         pairs = _workload(4, count=8)
-        peaks = {}
-        for backend in ("scalar", "batched"):
-            res = align_pairs(
-                pairs, backend=backend, cache_size=0, band_width=8
-            )
-            assert res.report.peak_wavefront_bytes > 0
-            assert (
-                res.report.as_dict()["peak_wavefront_bytes"]
-                == res.report.peak_wavefront_bytes
-            )
-            # Both backends report the counter unbanded too — the
-            # baseline rides the same channel the banded runs use.
-            exact = align_pairs(pairs, backend=backend, cache_size=0)
-            assert (
-                exact.report.peak_wavefront_bytes
-                > res.report.peak_wavefront_bytes
-            )
-            peaks[backend] = (
-                res.report.peak_wavefront_bytes,
-                exact.report.peak_wavefront_bytes,
-            )
-        assert peaks["scalar"] == peaks["batched"]
+        res = align_pairs(pairs, backend="batched", cache_size=0, band_width=8)
+        assert res.report.peak_wavefront_bytes > 0
+        assert (
+            res.report.as_dict()["peak_wavefront_bytes"]
+            == res.report.peak_wavefront_bytes
+        )
+        _assert_matches_reference(res, _reference(pairs, 8))
+        # The counter is reported unbanded too: the baseline rides the
+        # same channel the banded runs use.
+        exact = align_pairs(pairs, backend="batched", cache_size=0)
+        _assert_matches_reference(exact, _reference(pairs, None))
+        assert (
+            exact.report.peak_wavefront_bytes
+            > res.report.peak_wavefront_bytes
+        )
 
 
 class _FailBandedBatched(BatchedWfaAligner):
@@ -145,16 +178,6 @@ class _FailBandedBatched(BatchedWfaAligner):
                 for r in results
             ]
         return results
-
-
-class _FailBandedScalar(WfaAligner):
-    def align(self, a, b):
-        result = super().align(a, b)
-        if self.band_width is not None:
-            return dc_replace(
-                result, score=-1, cigar=None, reached_end=False
-            )
-        return result
 
 
 def _inflate(peak: int, pattern: str) -> int:
@@ -181,61 +204,35 @@ class _InflatedDeadBandBatched(_FailBandedBatched):
         ]
 
 
-class _InflatedDeadBandScalar(_FailBandedScalar):
-    def align(self, a, b):
-        result = super().align(a, b)
-        if self.band_width is None:
-            return result
-        peak = _inflate(result.work.peak_wavefront_bytes, a)
-        return dc_replace(
-            result, work=dc_replace(result.work, peak_wavefront_bytes=peak)
-        )
-
-
 class TestBandFallback:
     """Every pair's band dies -> every pair is re-aligned exact."""
 
-    @pytest.mark.parametrize(
-        "backend,patch_name,fail_cls",
-        [
-            ("batched", "BatchedWfaAligner", _FailBandedBatched),
-            ("scalar", "WfaAligner", _FailBandedScalar),
-        ],
-    )
-    def test_dead_band_degrades_to_exact(
-        self, monkeypatch, _fresh_registry, backend, patch_name, fail_cls
-    ):
-        monkeypatch.setattr(backends_mod, patch_name, fail_cls)
+    def test_dead_band_degrades_to_exact(self, monkeypatch, _fresh_registry):
+        monkeypatch.setattr(backends_mod, "BatchedWfaAligner", _FailBandedBatched)
         pairs = _workload(5, count=10)
-        exact = align_pairs(pairs, backend=backend, backtrace=True, cache_size=0)
         banded = align_pairs(
-            pairs, backend=backend, backtrace=True, cache_size=0, band_width=32
+            pairs, backend="batched", backtrace=True, cache_size=0, band_width=32
         )
-        assert banded.scores == exact.scores
-        assert [o.cigar for o in banded.outcomes] == [
-            o.cigar for o in exact.outcomes
-        ]
+        _assert_matches_reference(
+            banded,
+            _reference(pairs, 32, backtrace=True, dead=lambda a, b: True),
+        )
         assert banded.report.band_fallbacks == len(pairs)
         assert banded.report.as_dict()["band_fallbacks"] == len(pairs)
         counter = _fresh_registry.counter("engine_band_fallbacks_total")
-        assert counter.value({"backend": backend}) == len(pairs)
+        assert counter.value({"backend": "batched"}) == len(pairs)
 
     def test_fallback_peak_is_max_of_banded_and_exact(self, monkeypatch):
-        """Both backends charge a retried pair its larger peak."""
+        """A retried pair is charged its larger peak."""
         pairs = _workload(5, count=10)
-        peaks = {}
-        for backend, patch_name, fail_cls in (
-            ("batched", "BatchedWfaAligner", _InflatedDeadBandBatched),
-            ("scalar", "WfaAligner", _InflatedDeadBandScalar),
-        ):
-            with monkeypatch.context() as patch:
-                patch.setattr(backends_mod, patch_name, fail_cls)
-                res = align_pairs(
-                    pairs, backend=backend, backtrace=True, cache_size=0,
-                    band_width=32,
-                )
-            assert res.report.band_fallbacks == len(pairs)
-            peaks[backend] = res.report.peak_wavefront_bytes
+        monkeypatch.setattr(
+            backends_mod, "BatchedWfaAligner", _InflatedDeadBandBatched
+        )
+        res = align_pairs(
+            pairs, backend="batched", backtrace=True, cache_size=0,
+            band_width=32,
+        )
+        assert res.report.band_fallbacks == len(pairs)
         banded = [
             _inflate(
                 WfaAligner(DEFAULT_PENALTIES, band_width=32)
@@ -251,8 +248,9 @@ class TestBandFallback:
         # The fixture makes the banded peak win for some pairs only.
         assert any(bp > ep for bp, ep in zip(banded, exact))
         assert any(bp < ep for bp, ep in zip(banded, exact))
-        expected = sum(map(max, banded, exact))
-        assert peaks["batched"] == peaks["scalar"] == expected
+        expected = list(map(max, banded, exact))
+        assert [o.peak_wavefront_bytes for o in res.outcomes] == expected
+        assert res.report.peak_wavefront_bytes == sum(expected)
 
     def test_no_fallbacks_without_banding(self, _fresh_registry):
         pairs = _workload(6, count=6)
@@ -260,46 +258,35 @@ class TestBandFallback:
         assert res.report.band_fallbacks == 0
 
 
-class _OddDeadBandScalar(WfaAligner):
+def _odd_text(a: str, b: str) -> bool:
+    return len(b) % 2 == 1
+
+
+class _OddDeadBandBatched(BatchedWfaAligner):
     """The band dies on odd-length texts only."""
 
-    def align(self, a, b):
-        result = super().align(a, b)
-        if self.band_width is not None and len(b) % 2:
-            return dc_replace(
-                result, score=-1, cigar=None, reached_end=False
-            )
-        return result
+    def align_batch(self, pairs):
+        results = super().align_batch(pairs)
+        if self.band_width is None:
+            return results
+        return [
+            dc_replace(r, score=-1, cigar=None, reached_end=False)
+            if _odd_text(a, b) else r
+            for r, (a, b) in zip(results, pairs)
+        ]
 
 
-class _OnePairAligner(_OddDeadBandScalar):
-    """Fails once asked for a second pair: raises, or exits a worker."""
+class _OnePairAligner(_OddDeadBandBatched):
+    """Fails when asked for more than one pair: raises, or exits a worker."""
 
     fault = "raise"
 
-    def align(self, a, b):
-        if getattr(self, "used", False):
+    def align_batch(self, pairs):
+        if len(pairs) > 1:
             if self.fault == "exit" and multiprocessing.parent_process():
                 os._exit(17)
             raise RuntimeError("injected multi-pair chunk fault")
-        self.used = True
-        return super().align(a, b)
-
-
-def _scalar_band_counters(pairs, band_width: int) -> tuple[int, int]:
-    """``(band_fallbacks, peak_wavefront_bytes)`` summed pair by pair."""
-    fallbacks = peak = 0
-    for pair in pairs:
-        a, b = pair.pattern, pair.text
-        banded = _OddDeadBandScalar(keep_backtrace=False, band_width=band_width)
-        res = banded.align(a, b)
-        pair_peak = res.work.peak_wavefront_bytes
-        if not res.reached_end:
-            fallbacks += 1
-            exact = WfaAligner(keep_backtrace=False).align(a, b)
-            pair_peak = max(pair_peak, exact.work.peak_wavefront_bytes)
-        peak += pair_peak
-    return fallbacks, peak
+        return super().align_batch(pairs)
 
 
 class TestBandComposition:
@@ -335,41 +322,37 @@ class TestBandComposition:
             o.cigar for o in serial.outcomes
         ]
 
-    def test_cache_key_is_band_specific(self):
-        k_exact = AlignmentCache.make_key(
-            "batched", "ACGT", "ACGT", DEFAULT_PENALTIES, False
-        )
-        k_banded = AlignmentCache.make_key(
-            "batched", "ACGT", "ACGT", DEFAULT_PENALTIES, False, 8
-        )
-        assert k_exact != k_banded
-
     def test_isolated_replay_keeps_the_band(self, monkeypatch, _fresh_registry):
         """Every dispatch path keeps the band and the band counters.
 
         The aligner's band dies on odd-length texts.  Its faulty
-        variant fails once asked for a second pair: in the engine
+        variant fails when asked for more than one pair: in the engine
         process by raising, so each pair of the chunk is replayed alone;
         in a pool worker by killing it, so the lost chunk is quarantined
-        pair by pair.  Each path must return a clean banded run's scores
-        (some pessimistic at this band, not the exact ones), and its
-        ``band_fallbacks`` / ``peak_wavefront_bytes`` must be the scalar
-        aligner's per-pair sums, carried by the outcomes: neither name
-        is a profile stage or an ``engine_stage_*`` series.
+        pair by pair.  Each path must return the scalar aligner's banded
+        answers (some pessimistic at this band, not the exact ones):
+        per pair, its score, fallback and ``max(banded, exact)`` peak.
+        The counters ride on the outcomes: neither name is a profile
+        stage or an ``engine_stage_*`` series.
         """
-        pairs = PairGenerator(
-            length=300, error_rate=0.15, seed=5, max_text_length=330
-        ).batch(12)
-        exact = align_pairs(pairs, backend="scalar", cache_size=0)
-        monkeypatch.setattr(backends_mod, "WfaAligner", _OddDeadBandScalar)
-        options = dict(backend="scalar", cache_size=0, band_width=4)
+        pairs = [
+            (pair.pattern, pair.text)
+            for pair in PairGenerator(
+                length=300, error_rate=0.15, seed=5, max_text_length=330
+            ).batch(12)
+        ]
+        expected = _reference(pairs, 4, dead=_odd_text)
+        exact = _reference(pairs, None)
+        monkeypatch.setattr(backends_mod, "BatchedWfaAligner", _OddDeadBandBatched)
+        options = dict(backend="batched", cache_size=0, band_width=4)
         runs = {
             "workers=1": align_pairs(pairs, **options),
             "workers=2": align_pairs(pairs, workers=2, chunk_size=4, **options),
         }
-        clean = runs["workers=1"]
-        assert clean.scores != exact.scores  # the band matters here
-        monkeypatch.setattr(backends_mod, "WfaAligner", _OnePairAligner)
+        # The band matters here, and some pairs fall back.
+        assert [row[0] for row in expected] != [row[0] for row in exact]
+        assert any(row[2] for row in expected)
+        monkeypatch.setattr(backends_mod, "BatchedWfaAligner", _OnePairAligner)
         runs["isolated"] = align_pairs(pairs, **options)
         monkeypatch.setattr(_OnePairAligner, "fault", "exit")
         runs["quarantined"] = align_pairs(
@@ -381,17 +364,11 @@ class TestBandComposition:
             w.worker_id for w in runs["quarantined"].report.worker_stats
         }
 
-        expected = _scalar_band_counters(pairs, 4)
-        assert expected[0] > 0 and expected[1] > 0
         work_counters = {"band_fallbacks", "peak_wavefront_bytes"}
         for name, res in runs.items():
             assert res.report.errors == 0, name
-            assert res.scores == clean.scores, name
+            _assert_matches_reference(res, expected)
             assert work_counters.isdisjoint(res.report.profile), name
-            assert (
-                res.report.band_fallbacks,
-                res.report.peak_wavefront_bytes,
-            ) == expected, name
         snapshot = _fresh_registry.snapshot()
         stages = {
             series["labels"]["stage"]

@@ -78,6 +78,32 @@ class TestSerialPath:
             assert stage in rep.profile, rep.profile
         assert "stage" in rep.describe_profile()
 
+    def test_profile_footer_adds_up_to_elapsed(self):
+        # The engine's stages partition the batch's wall time; the
+        # backend's stages and ipc run inside execute, so adding them
+        # to the total would count that time twice.
+        pairs = PairGenerator(length=150, error_rate=0.05, seed=3).batch(64)
+        rep = align_pairs(pairs, backtrace=True, cache_size=0).report
+        lines = rep.describe_profile().splitlines()[1:]
+        top = {
+            line.split()[0]: float(line.split()[-2])
+            for line in lines
+            if not line.startswith(" ")
+        }
+        nested = {
+            line.split()[0]: float(line.split()[-2])
+            for line in lines
+            if line.startswith(" ")
+        }
+        assert list(top) == [
+            "resolve", "dispatch", "execute", "gather", "unaccounted", "elapsed"
+        ]
+        assert top.pop("elapsed") == round(rep.elapsed_seconds, 4)
+        assert sum(top.values()) == pytest.approx(rep.elapsed_seconds, abs=5e-4)
+        assert set(nested) == set(rep.profile) - set(top)
+        assert {"ipc", "pack", "compute", "extend", "backtrace"} <= set(nested)
+        assert sum(nested.values()) <= top["execute"] + 5e-4
+
 
 class TestParallelPath:
     def test_matches_serial(self, pairs):

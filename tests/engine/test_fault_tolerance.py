@@ -290,6 +290,12 @@ class TestWorkerFaultTolerance:
         for o, (a, b) in zip(res.outcomes, batch):
             if a != POISON:
                 assert o.ok and o.score == len(a) + len(b)
+        # The hung chunk is quarantined pair by pair in fresh processes
+        # (accounted to the engine process): its healthy neighbour gets
+        # its real result, and only the hanging pair errors.
+        assert batch[-2] == good_batch()[-1]  # shares the poison's chunk
+        assert res.report.errors == 1
+        assert os.getpid() in {w.worker_id for w in res.report.worker_stats}
 
     def test_unusable_pool_degrades_in_process(self, faulty, monkeypatch):
         faulty(mode="raise")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.align import WfaAligner
 from repro.engine import BatchAlignmentEngine, align_pairs, register_backend
 from repro.engine.backends import _BACKENDS
 from repro.engine.validation import ERROR_TIMEOUT, ERROR_WORKER_LOST
@@ -82,16 +83,26 @@ def _run(batch, *, backend, backtrace, workers):
 class TestDifferentialBitIdentity:
     """in-process == workers=2, observable for observable."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
     @pytest.mark.parametrize("backtrace", [False, True])
-    def test_paths_agree(self, backend, backtrace):
+    def test_paths_agree(self, backtrace):
         batch = _mixed_batch(seed=7)
-        solo = _run(batch, backend=backend, backtrace=backtrace, workers=1)
-        parallel = _run(batch, backend=backend, backtrace=backtrace, workers=2)
+        solo = _run(batch, backend="batched", backtrace=backtrace, workers=1)
+        parallel = _run(batch, backend="batched", backtrace=backtrace, workers=2)
         assert [_outcome_key(o) for o in parallel.outcomes] == [
             _outcome_key(o) for o in solo.outcomes
         ]
         assert _report_key(parallel.report) == _report_key(solo.report)
+        # Both equal the scalar aligner on every pair that was aligned.
+        aligner = WfaAligner(keep_backtrace=backtrace)
+        aligned = 0
+        for (a, b), o in zip(batch, parallel.outcomes):
+            if o.ok and o.success:
+                ref = aligner.align(a, b)
+                cigar = ref.cigar.compact() if backtrace else None
+                assert (o.score, o.cigar) == (ref.score, cigar)
+                assert o.peak_wavefront_bytes == ref.work.peak_wavefront_bytes
+                aligned += 1
+        assert aligned == len(batch) - 2  # all but the N and Q pairs
 
     @pytest.mark.slow
     def test_wfasic_backend_agrees(self):
@@ -108,7 +119,7 @@ class TestDifferentialBitIdentity:
         # known single-substitution pair.
         res = _run(
             [("ACGTACGT", "ACGTACGT"), ("ACGTACGT", "ACGAACGT")],
-            backend="scalar", backtrace=True, workers=2,
+            backend="batched", backtrace=True, workers=2,
         )
         exact, sub = res.outcomes
         assert exact.ok and exact.success and exact.score == 0

@@ -10,8 +10,10 @@ and three penalty sets, asserting that
 * the cross-pair batched WFA reproduces the scalar results — score and
   CIGAR — pair for pair on seeded mixed-length batches, regardless of
   the order in which pairs retire from the lockstep batch,
-* every batch-engine backend (including ``batched`` and the ``wfasic``
-  cycle simulator) reproduces the oracle scores through the engine path.
+* every batch-engine backend (``batched``, ``swg`` and the ``wfasic``
+  cycle simulator) reproduces the oracle scores through the engine path,
+  and the ``batched`` backend reproduces the scalar aligner's score,
+  CIGAR and peak wavefront bytes, in-process and on two workers.
 
 The 2000 bp sweep drags the scalar reference through large wavefronts
 and is marked slow; the fast grid keeps the inner loop under a second.
@@ -207,6 +209,21 @@ class TestEngineBackendsAgree:
         pairs, oracle = workload
         res = align_pairs(pairs, backend=backend, workers=2, chunk_size=3)
         assert res.scores == oracle
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batched_matches_scalar_aligner(self, workers, workload):
+        pairs, _ = workload
+        res = align_pairs(
+            pairs, backend="batched", backtrace=True, workers=workers,
+            chunk_size=3,
+        )
+        reference = [WfaAligner().align(a, b) for a, b in pairs]
+        assert [
+            (o.score, o.cigar, o.peak_wavefront_bytes) for o in res.outcomes
+        ] == [
+            (r.score, r.cigar.compact(), r.work.peak_wavefront_bytes)
+            for r in reference
+        ]
 
 
 class TestAgreedErrorSemantics:
