@@ -64,15 +64,6 @@ from .engine import (
     backend_names,
     merge_batch_reports,
 )
-from .fleet import (
-    FleetBudget,
-    FleetConfig,
-    FleetScheduler,
-    SweepGrid,
-    plan_capacity,
-    run_sweep,
-    validate_fleet_sweep,
-)
 from .obs import (
     MetricsRegistry,
     RunManifest,
@@ -85,10 +76,6 @@ from .obs import (
     validate_metrics_snapshot,
 )
 from .reporting import format_table
-from .soc import Soc
-from .verify import EquivalenceChecker
-from .wfasic import WfasicConfig, asic_report, configs_within_budget
-from .wfasic.fpga_model import U280, fpga_report
 from .workloads import (
     PairGenerator,
     input_set_names,
@@ -494,6 +481,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    from .soc import Soc
+    from .wfasic import WfasicConfig
+
     pairs = read_seq_file(args.input)
     if not pairs:
         print("input file holds no pairs", file=sys.stderr)
@@ -934,6 +924,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_plan(args: argparse.Namespace) -> int:
+    from .fleet import FleetBudget, FleetConfig, FleetScheduler, plan_capacity
+    from .wfasic import configs_within_budget
+
     if args.pairs_per_sec is None:
         print("fleet plan needs --pairs-per-sec", file=sys.stderr)
         return 2
@@ -992,6 +985,8 @@ def _cmd_fleet_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
+    from .fleet import SweepGrid, run_sweep, validate_fleet_sweep
+
     try:
         grid = SweepGrid(
             parallel_sections=tuple(args.sections or (16, 32, 64, 128)),
@@ -1081,6 +1076,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .wfasic import WfasicConfig, asic_report
+    from .wfasic.fpga_model import U280, fpga_report
+
     config = WfasicConfig(
         num_aligners=args.aligners,
         parallel_sections=args.parallel_sections,
@@ -1116,6 +1114,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not pairs:
         print("input file holds no pairs", file=sys.stderr)
         return 1
+    from .wfasic import WfasicConfig
     from .workloads import summarise_pairs
     from .workloads.profile import preflight
 
@@ -1136,6 +1135,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import EquivalenceChecker
+
     checker = EquivalenceChecker(seed=args.seed)
     report = checker.campaign(count=args.num_pairs, max_len=args.max_len)
     print(

@@ -110,11 +110,6 @@ class EngineConfig:
         pool failures propagate instead of becoming per-pair errored
         outcomes.  Unsupported reads (the §4.2 hardware policy) are a
         well-formed answer and stay per-pair even in strict mode.
-    max_read_len:
-        Optional read-length cap applied by the shared unsupported-read
-        policy at the engine boundary; ``None`` (default) leaves length
-        limits to the backends (the ``wfasic`` simulator enforces its
-        own ``MAX_READ_LEN`` either way).
     chunk_timeout:
         Seconds to wait for one dispatched chunk before treating it as
         lost (hung backend or dead worker); ``None`` waits forever.
@@ -145,7 +140,6 @@ class EngineConfig:
     backtrace: bool = False
     cache_size: int = 4096
     strict: bool = False
-    max_read_len: int | None = None
     chunk_timeout: float | None = 300.0
     max_chunk_retries: int = 1
     band_width: int | None = None
@@ -175,8 +169,6 @@ class EngineConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if self.max_read_len is not None and self.max_read_len < 1:
-            raise ValueError("max_read_len must be >= 1 (or None)")
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be > 0 (or None)")
         if self.max_chunk_retries < 0:
@@ -530,7 +522,7 @@ class BatchAlignmentEngine:
             for idx, pair in enumerate(pairs):
                 pattern, text = normalize_pair(idx, *_as_sequences(pair))
                 sequences.append((pattern, text))
-                verdict = classify_pair(pattern, text, cfg.max_read_len)
+                verdict = classify_pair(pattern, text)
                 if verdict is not None:
                     kind, msg = verdict
                     if kind == ERROR_INVALID_BASE:

@@ -15,16 +15,15 @@ malformed request can never take down a batch or crash a worker:
   aligned it as all-mismatch).
 * **Charset** outside ``ACGTN`` is a per-pair validation *rejection*
   (``error_kind="invalid_base"``).
-* **Unsupported reads** — 'N' bases, or length beyond a configured
-  hardware limit — follow the shared §4.2 policy
-  (:func:`repro.wfasic.extractor.read_support_reason`): the pair is
+* **Unsupported reads** — 'N' bases — follow the shared §4.2 policy
+  (:func:`repro.workloads.alphabet.read_support_reason`): the pair is
   reported with the hardware ``success`` flag cleared and score 0, the
   same outcome the Extractor produces, whatever backend runs the batch.
 """
 
 from __future__ import annotations
 
-from ..wfasic.extractor import read_support_reason
+from ..workloads.alphabet import VALID_BASES, read_support_reason
 
 __all__ = [
     "VALID_BASES",
@@ -36,11 +35,6 @@ __all__ = [
     "normalize_pair",
     "classify_pair",
 ]
-
-#: The engine's input alphabet: the hardware bases plus 'N', the unknown
-#: base real read sets contain (§4.2 lists it as a detected case, not an
-#: input error).
-VALID_BASES = frozenset("ACGTN")
 
 #: ``PairOutcome.error_kind`` taxonomy (see DESIGN.md, "error handling
 #: contract").
@@ -67,9 +61,7 @@ def normalize_pair(idx: int, pattern: object, text: object) -> tuple[str, str]:
     return pattern.upper(), text.upper()
 
 
-def classify_pair(
-    pattern: str, text: str, max_read_len: int | None = None
-) -> tuple[str, str] | None:
+def classify_pair(pattern: str, text: str) -> tuple[str, str] | None:
     """Validation verdict for one (already normalized) pair.
 
     Returns ``None`` for a pair that may be dispatched to a backend, or
@@ -78,9 +70,8 @@ def classify_pair(
     * ``("invalid_base", ...)`` — characters outside ``ACGTN``; the
       request itself is malformed and is rejected as an error.
     * ``("unsupported_read", ...)`` — valid request the hardware cannot
-      align ('N' bases, or longer than ``max_read_len`` when one is
-      configured); reported with ``success=False`` like the Extractor
-      does, not as an engine error.
+      align ('N' bases); reported with ``success=False`` like the
+      Extractor does, not as an engine error.
     """
     for name, seq in (("pattern", pattern), ("text", text)):
         bad = set(seq) - VALID_BASES
@@ -91,7 +82,7 @@ def classify_pair(
                 f"{''.join(sorted(bad))!r}",
             )
     for name, seq in (("pattern", pattern), ("text", text)):
-        reason = read_support_reason(seq, max_read_len)
+        reason = read_support_reason(seq)
         if reason is not None:
             return (ERROR_UNSUPPORTED_READ, f"{name} {reason}")
     return None

@@ -10,8 +10,10 @@ knee show up directly as utilisation loss).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..wfasic.accelerator import BatchResult
+if TYPE_CHECKING:
+    from ..wfasic.accelerator import BatchResult
 
 __all__ = ["BatchAnalysis", "analyse_batch"]
 

@@ -8,7 +8,10 @@ serialising, alignments overlapping, Aligners idling past Eq. 7's knee.
 
 from __future__ import annotations
 
-from ..wfasic.accelerator import BatchResult
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..wfasic.accelerator import BatchResult
 
 __all__ = ["render_schedule"]
 

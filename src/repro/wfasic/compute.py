@@ -55,8 +55,6 @@ class ComputeStage:
         self.group_size = group_size
         self.emit_origins = emit_origins
         self.timings = timings or ComputeTimings()
-        self.total_cycles = 0
-        self.total_cells = 0
 
     def run(
         self,
@@ -86,6 +84,4 @@ class ComputeStage:
         cycles = (
             n_groups * self.timings.cycles_per_group + self.timings.step_overhead
         )
-        self.total_cycles += cycles
-        self.total_cells += 3 * width
         return out, cycles

@@ -80,9 +80,6 @@ class ExtendStage:
     ) -> None:
         self.group_size = group_size
         self.timings = timings or ExtendTimings()
-        self.total_cycles = 0
-        self.total_blocks = 0
-        self.total_matches = 0
 
     def run(
         self,
@@ -96,7 +93,4 @@ class ExtendStage:
         """Extend one frame column; returns (kernel output, cycles)."""
         out = extend_kernel(a_words, b_words, n, m, offsets, lo)
         cycles = int(group_latencies(out.blocks, self.group_size, self.timings).sum())
-        self.total_cycles += cycles
-        self.total_blocks += int(out.blocks.sum())
-        self.total_matches += out.matches
         return out, cycles

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..workloads.alphabet import UNSUPPORTED_TOO_LONG, read_support_reason
 from .config import AXI_DATA_BYTES, BASES_PER_RAM_WORD
 from .packets import (
     SECTION_BYTES,
@@ -29,41 +30,7 @@ from .packets import (
     pair_record_sections,
 )
 
-__all__ = [
-    "ExtractedJob",
-    "Extractor",
-    "UNSUPPORTED_TOO_LONG",
-    "UNSUPPORTED_BAD_BASE",
-    "HARDWARE_BASES",
-    "read_support_reason",
-]
-
-#: Reason codes for unsupported jobs (reported in stats/logs, not bits).
-UNSUPPORTED_TOO_LONG = "length exceeds MAX_READ_LEN"
-UNSUPPORTED_BAD_BASE = "contains non-ACGT bases"
-
-_ACGT = frozenset(b"ACGT")
-
-#: The alphabet the Aligners can pack to 2 bits (§4.2).  Anything else —
-#: 'N' included — makes a read *unsupported*: the hardware skips the pair
-#: and clears its Success flag rather than mis-scoring it.
-HARDWARE_BASES = frozenset("ACGT")
-
-
-def read_support_reason(seq: str, max_read_len: int | None = None) -> str | None:
-    """The §4.2 unsupported-read policy, shared with the software engine.
-
-    Returns the reason a read would be rejected by the Extractor
-    (:data:`UNSUPPORTED_TOO_LONG` / :data:`UNSUPPORTED_BAD_BASE`), or
-    ``None`` for a supported read.  The batch engine applies the same
-    policy at its boundary so software and hardware backends agree on
-    what "unsupported" means.
-    """
-    if max_read_len is not None and len(seq) > max_read_len:
-        return UNSUPPORTED_TOO_LONG
-    if not HARDWARE_BASES >= set(seq):
-        return UNSUPPORTED_BAD_BASE
-    return None
+__all__ = ["ExtractedJob", "Extractor"]
 
 
 @dataclass(frozen=True)
@@ -186,9 +153,8 @@ class Extractor:
     # -- validation ------------------------------------------------------------
 
     def _validate(self, length: int, stored: bytes) -> str | None:
+        # The header's length, not the stored bytes: a read longer than
+        # MAX_READ_LEN is truncated in the image.
         if length > self.max_read_len:
             return UNSUPPORTED_TOO_LONG
-        prefix = stored[:length]
-        if not set(prefix) <= _ACGT:
-            return UNSUPPORTED_BAD_BASE
-        return None
+        return read_support_reason(stored[:length].decode("latin-1"))

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alphabet import VALID_BASES
+
 __all__ = ["SequencePair", "PairGenerator", "ErrorMix"]
 
 _BASES = np.frombuffer(b"ACGT", dtype=np.uint8)
@@ -64,7 +66,7 @@ class SequencePair:
         # so lowercase FASTA-style input is served, not rejected.
         for name, seq in (("pattern", self.pattern), ("text", self.text)):
             folded = seq.upper()
-            if not set(folded) <= set("ACGTN"):
+            if not set(folded) <= VALID_BASES:
                 raise ValueError(f"{name} contains non-DNA characters")
             if folded != seq:
                 object.__setattr__(self, name, folded)

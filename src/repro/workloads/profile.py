@@ -14,9 +14,12 @@ configuration supports that workload with a safety margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..align.cigar import Cigar
-from ..wfasic.config import WfasicConfig
+
+if TYPE_CHECKING:
+    from ..wfasic.config import WfasicConfig
 
 __all__ = ["ErrorProfile", "profile_cigar", "estimate_profile", "preflight"]
 

@@ -194,16 +194,6 @@ class TestValidationIsolation:
         assert res.outcomes[0].success and not res.outcomes[1].success
         assert res.report.swg_cells == swg_equivalent_cells(8, 8)
 
-    def test_engine_max_read_len_policy(self):
-        res = align_pairs(
-            [("ACGT" * 8, "ACGT" * 8), ("AC", "AC")], max_read_len=16
-        )
-        long_one = res.outcomes[0]
-        assert long_one.ok and not long_one.success
-        assert long_one.error_kind == ERROR_UNSUPPORTED_READ
-        assert "MAX_READ_LEN" in long_one.error_msg
-        assert res.outcomes[1].success
-
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=24)
 malformed = st.sampled_from(["ACQT", "AC!T", "NNNN", "ACGN", "xyz"])

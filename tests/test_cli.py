@@ -126,6 +126,22 @@ class TestBatch:
         assert len(lines) == 7  # header + 6 pairs
         assert "pairs/s" in out and "cache_hit_rate" in out
 
+    def test_reads_input_through_module_global(self, seq_file, monkeypatch):
+        # The benchmark harness times input parsing by wrapping
+        # ``repro.cli.read_pairs_file``; ``batch`` must look it up there.
+        import repro.cli
+
+        calls = []
+        original = repro.cli.read_pairs_file
+
+        def recording(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(repro.cli, "read_pairs_file", recording)
+        assert main(["batch", seq_file]) == 0
+        assert calls == [seq_file]
+
     def test_json_output(self, seq_file, capsys):
         assert main(["batch", seq_file, "--format", "json"]) == 0
         out = capsys.readouterr().out

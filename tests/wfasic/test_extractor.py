@@ -3,7 +3,6 @@
 import pytest
 
 from repro.wfasic import Extractor
-from repro.wfasic.extractor import UNSUPPORTED_BAD_BASE, UNSUPPORTED_TOO_LONG
 from repro.wfasic.packets import (
     encode_input_image,
     encode_pair_record,
@@ -11,6 +10,7 @@ from repro.wfasic.packets import (
     unpack_bases,
 )
 from repro.workloads import PairGenerator, SequencePair
+from repro.workloads.alphabet import UNSUPPORTED_BAD_BASE, UNSUPPORTED_TOO_LONG
 
 
 class TestFraming:
