@@ -6,8 +6,22 @@ a RISC-V SoC" (Haghi et al., ICPP 2023).
 Subpackages
 -----------
 ``repro.align``
-    Alignment algorithms: SWG/gap-linear DP oracles, scalar and
-    vectorised WFA, CIGARs, penalties, the reachable-score lattice.
+    Alignment algorithms: SWG/gap-linear DP oracles, scalar, vectorised
+    and cross-pair batched WFA, the origin-code backtrace walk, CIGARs,
+    penalties, the reachable-score lattice.
+``repro.engine``
+    The batch alignment engine: named backends (``batched``, ``swg``,
+    ``wfasic``), worker-pool dispatch with fault isolation, the result
+    cache and the batch report.
+``repro.serve``
+    The always-on alignment service: NDJSON socket protocol, the
+    micro-batching scheduler and the ``submit`` client.
+``repro.obs``
+    Observability: the metrics registry, Chrome-trace spans and run
+    manifests.
+``repro.fleet``
+    Fleets of WFAsic chips: routing across chips, design-space
+    exploration and capacity planning under area/power budgets.
 ``repro.workloads``
     Synthetic read-pair generation and the paper's six input sets.
 ``repro.wfasic``

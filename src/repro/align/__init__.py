@@ -11,6 +11,8 @@ Public surface:
   one pair at a time (the SoC's CPU flow and the equivalence checker).
 * :func:`wfa_align_batched` / :class:`BatchedWfaAligner` — cross-pair
   batched WFA: N pairs' wavefronts advanced in lockstep per numpy call.
+* :mod:`repro.align.origin_walk` — backtrace from 5-bit origin codes,
+  shared by the batched aligner and the simulator's CPU backtrace.
 * :class:`StageProfiler` — per-stage wall-time/call counters.
 * :class:`ScoreLattice` — reachable scores and theoretical wavefront bands.
 """

@@ -234,6 +234,9 @@ class BatchedComputeOutput:
     mid: np.ndarray
     #: bool ``(3, pairs)``: the row holds at least one live M / I / D cell.
     live: np.ndarray
+    #: uint8 ``(pairs, width)`` 5-bit origin codes (as
+    #: :func:`compute_kernel` emits them), or ``None``.
+    origins: np.ndarray | None = None
 
     @property
     def m(self) -> np.ndarray:
@@ -294,6 +297,8 @@ def compute_kernel_batched(
     ns: np.ndarray,
     ms: np.ndarray,
     valid: np.ndarray | None = None,
+    *,
+    emit_origins: bool = False,
 ) -> BatchedComputeOutput:
     """Eq. 3 for one score step of a whole batch at once.
 
@@ -305,6 +310,11 @@ def compute_kernel_batched(
     column vectors).  ``valid`` optionally masks padding columns.  A
     caller whose windows are NULL outside each pair's source bands needs
     no mask: every cell past a pair's new band is then unreachable.
+
+    ``emit_origins`` also returns each cell's 5-bit origin code, with
+    the tie order of :func:`repro.align.wfa.backtrace_wavefronts`: at M
+    substitution beats insertion beats deletion, at I and D extend beats
+    open.
     """
     pairs, width = ks.shape
     mid = np.empty((3, pairs, width), dtype=np.int64)
@@ -323,10 +333,21 @@ def compute_kernel_batched(
         room = np.where(valid, room, 0)
     np.putmask(mid, mid.view(np.uint64) >= room.view(np.uint64), NULL_OFFSET)
 
-    np.maximum(mwf, ins, out=mwf)
-    np.maximum(mwf, dele, out=mwf)
+    gap = np.maximum(ins, dele)
+    origins: np.ndarray | None = None
+    if emit_origins:
+        # Codes come from the live (room-masked) candidates: deletion
+        # unless insertion ties or wins, substitution when it ties or
+        # wins, NONE where M stays NULL.
+        origins = (ins < dele).view(np.uint8) + np.uint8(ORIGIN_M_INS)
+        np.putmask(origins, mwf >= gap, ORIGIN_M_SUB)
+    np.maximum(mwf, gap, out=mwf)
+    if origins is not None:
+        np.putmask(origins, mwf < 0, ORIGIN_M_NONE)
+        origins |= (i_e_km1 >= m_oe_km1).view(np.uint8) * np.uint8(ORIGIN_I_EXT_BIT)
+        origins |= (d_e_kp1 >= m_oe_kp1).view(np.uint8) * np.uint8(ORIGIN_D_EXT_BIT)
     live = mid.max(axis=2, initial=NULL_OFFSET) >= 0
-    return BatchedComputeOutput(mid=mid, live=live)
+    return BatchedComputeOutput(mid=mid, live=live, origins=origins)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ put, indexed by original pair position) — so a batch never keeps paying
 for finished pairs while stragglers run on (the "retire on converge"
 rule).
 
+Backtrace history is the hardware's (§4.3): one 5-bit origin code per
+computed cell, one byte each, kept as one ``(rows, cols)`` array per
+score for the whole batch rather than offsets per pair.  A retiring pair
+walks its codes from ``(s, m - n)`` down to score 0 and then inserts the
+matches greedily, the walk the simulator's CPU backtrace also runs
+(:mod:`repro.align.origin_walk`).  ``peak_wavefront_bytes`` still models
+offset history (8 bytes per stored M/I/D cell), the definition
+:class:`repro.align.wfa.WfaAligner` shares.
+
 Results are bit-identical to :class:`repro.align.wfa.WfaAligner`: the
 per-row recurrence, band clamping, extension and backtrace are the same
 math, just evaluated for all pairs at once, and the differential harness
@@ -30,7 +39,7 @@ against the SWG oracle.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,17 +51,11 @@ from .kernels import (
     extend_kernel_batched,
     window_columns,
 )
+from .origin_walk import origin_backtrace
 from .packing import pack_batch
 from .penalties import AffinePenalties, DEFAULT_PENALTIES
 from .profile import StageProfiler
-from .wfa import (
-    BYTES_PER_CELL,
-    NULL_OFFSET,
-    Wavefront,
-    WfaResult,
-    WfaWorkCounters,
-    backtrace_wavefronts,
-)
+from .wfa import BYTES_PER_CELL, NULL_OFFSET, WfaResult, WfaWorkCounters
 
 __all__ = ["BatchedWfaAligner", "wfa_align_batched"]
 
@@ -222,7 +225,7 @@ class BatchedWfaAligner:
         Gap-affine penalties shared by every pair of a batch (the
         lockstep advance relies on a common score schedule).
     keep_backtrace:
-        Store per-pair wavefront history so CIGARs can be recovered at
+        Keep each step's origin codes so CIGARs can be recovered at
         retirement.  Off, only scores are produced and memory stays
         bounded by the recurrence window, exactly like the hardware.
     profiler:
@@ -293,30 +296,31 @@ class BatchedWfaAligner:
             np.array([len(b) for _, b in pairs], dtype=np.int64),
             p,
         )
-        hist_m: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
-        hist_i: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
-        hist_d: list[dict[int, Wavefront]] = [{} for _ in range(num_pairs)]
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         step = p.score_granularity
         span = p.max_window_span()
         records: dict[int, _BatchRecord] = {}
+        # Backtrace history, one entry per computed score: the step's
+        # origin codes ``(rows, cols)``, each row's first diagonal and
+        # the original pair of each row (sorted, as ``live.act`` is).
+        # ``act`` is shared by every score between two retirements.
+        history: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        act = live.act.copy()
 
-        def store_history(s: int, rec: _BatchRecord, live_m: np.ndarray) -> None:
-            # Every live pair keeps its three rows; an I or D row without a
-            # wavefront is all NULL, which backtrace reads as absent.
-            rows = live_m.nonzero()[0]
-            for r, orig, (lo_r, neg_hi) in zip(
-                rows.tolist(), live.act[rows].tolist(), rec.band_m[:, rows].T.tolist()
-            ):
-                hi_r = -neg_hi
-                # One copy per pair: a view would pin the whole padded
-                # batch array alive for the pair's entire history, which
-                # is exactly the memory blow-up banding exists to avoid.
-                snap = rec.mid[:, r, : hi_r - lo_r + 1].copy()
-                hist_m[orig][s] = Wavefront(lo_r, hi_r, snap[0])
-                hist_i[orig][s] = Wavefront(lo_r, hi_r, snap[1])
-                hist_d[orig][s] = Wavefront(lo_r, hi_r, snap[2])
+        def code_lookup(orig: int) -> Callable[[int, int], int]:
+            # The pair's row only moves when pairs retire, i.e. once per
+            # distinct ``act`` array.
+            row_of: dict[int, int] = {}
+
+            def code_at(s: int, k: int) -> int:
+                codes, lo, rows = history[s]
+                r = row_of.get(id(rows))
+                if r is None:
+                    r = row_of[id(rows)] = int(rows.searchsorted(orig))
+                return int(codes[r, k - lo[r]])
+
+            return code_at
 
         def retire(
             done: np.ndarray, s: int, iterations: int, *, failed: bool = False
@@ -326,6 +330,7 @@ class BatchedWfaAligner:
             ``failed`` rows (band loss / hard cap under banding) get a
             ``reached_end=False`` result instead of a backtrace.
             """
+            nonlocal act
             t0 = clock()
             rows = done.nonzero()[0]
             works = live.work(rows, iterations)
@@ -337,15 +342,11 @@ class BatchedWfaAligner:
                 else:
                     a, b = pairs[orig]
                     cigar = (
-                        backtrace_wavefronts(
-                            a, b, hist_m[orig], hist_i[orig], hist_d[orig], s, p
-                        )
+                        origin_backtrace(code_lookup(orig), a, b, s, p)
                         if keep_backtrace
                         else None
                     )
                     results[orig] = WfaResult(score=s, cigar=cigar, work=work)
-                # History is per pair; free it as soon as it is spent.
-                hist_m[orig] = hist_i[orig] = hist_d[orig] = {}
             t1 = clock()
             if not failed:
                 prof.add("backtrace", t1 - t0)
@@ -353,6 +354,7 @@ class BatchedWfaAligner:
             if not empty:
                 keep = ~done
                 live.compact(keep)
+                act = live.act.copy()
                 for rec in records.values():
                     rec.compact(keep)
             prof.add("retire", clock() - t1)
@@ -373,8 +375,6 @@ class BatchedWfaAligner:
         live0 = np.zeros((3, num_pairs), dtype=bool)
         live0[0] = True
         records[0] = _BatchRecord.build(mid, live0, np.stack((zero, zero)), zero + 1)
-        if keep_backtrace:
-            store_history(0, records[0], live0[0])
         done = (live.kfin == 0) & (mid[0, :, 0] == live.ms)
         if np.count_nonzero(done) and retire(done, 0, 0):
             return _finalize(results)
@@ -405,11 +405,11 @@ class BatchedWfaAligner:
                     return _finalize(results)
 
             # Drop batch records behind the recurrence window.  Safe even
-            # with backtrace on: CIGAR recovery reads the per-pair history
-            # snapshots, never the batch records, so the batch only ever
-            # holds ``span`` scores.  Without backtrace the history does
-            # not exist either, so eviction is when stored cells leave the
-            # ``peak_wavefront_bytes`` memory model.
+            # with backtrace on: CIGAR recovery reads the origin codes,
+            # never the batch records, so the batch only ever holds
+            # ``span`` scores.  ``peak_wavefront_bytes`` models offset
+            # history, so with backtrace on evicted cells stay charged;
+            # without it eviction is when they leave the model.
             horizon = s - span
             for key in [key for key in records if key < horizon]:
                 rec = records.pop(key)
@@ -471,6 +471,7 @@ class BatchedWfaAligner:
                 ks,
                 live.ns[:, None],
                 live.ms[:, None],
+                emit_origins=keep_backtrace,
             )
             live.cells += 3 * w_rows
             live_m = out.live[0]
@@ -515,8 +516,8 @@ class BatchedWfaAligner:
                 prof.add("band", clock() - t0)
 
             rec = records[s] = _BatchRecord.build(mid, live_f, band, w_f)
-            if keep_backtrace:
-                store_history(s, rec, live_f[0])
+            if out.origins is not None:
+                history[s] = (out.origins, lo_new, act)
             live.live_cells += rec.row_cells
             np.maximum(live.peak_cells, live.live_cells, out=live.peak_cells)
 

@@ -15,7 +15,8 @@ Three backends ship with the repository, one per concept:
   chunk in lockstep through shared 2D kernels, banded on request, and
   its stage profile (pack/compute/extend/backtrace) is returned with
   the chunk,
-* ``swg`` — the :func:`repro.align.swg_align` DP oracle (Eq. 2),
+* ``swg`` — the :func:`repro.align.swg_align` DP oracle (Eq. 2), for
+  pairs up to :data:`SWG_MAX_CELLS` DP cells,
 * ``wfasic`` — the cycle-accurate accelerator simulator: the chunk is
   encoded as a §4.2 input image, run through
   :class:`repro.wfasic.WfasicAccelerator`, and (with backtrace on) the
@@ -39,11 +40,13 @@ from ..align.profile import StageProfiler
 from ..align.swg import SwgResult, swg_align
 from ..align.wfa import WfaResult
 from ..align.wfa_batched import BatchedWfaAligner
+from .validation import ERROR_UNSUPPORTED_READ
 
 __all__ = [
     "PairOutcome",
     "AlignmentBackend",
     "BatchedWfaBackend",
+    "SWG_MAX_CELLS",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -219,8 +222,20 @@ class BatchedWfaBackend(AlignmentBackend):
         return outcomes, profiler.as_dict()
 
 
+#: Largest ``(n + 1) * (m + 1)`` DP matrix the ``swg`` backend fills: a
+#: 2 kbp pair, a few seconds and ~100 MB of matrices.  A 10 kbp pair
+#: would take minutes and gigabytes.
+SWG_MAX_CELLS = 4_000_000
+
+
 class SwgBackend(AlignmentBackend):
-    """The exact DP oracle: slowest, but the ground truth."""
+    """The exact DP oracle: slowest, but the ground truth.
+
+    Its time and memory grow with the DP matrix, so a pair of more than
+    :data:`SWG_MAX_CELLS` cells comes back unsupported
+    (``unsupported_read``), as the ``wfasic`` backend answers reads past
+    MAX_READ_LEN.
+    """
 
     name = "swg"
 
@@ -231,10 +246,21 @@ class SwgBackend(AlignmentBackend):
         backtrace: bool,
         band_width: int | None = None,
     ) -> tuple[list[PairOutcome], dict | None]:
-        outcomes = [
-            _outcome(slot, swg_align(pattern, text, penalties), backtrace)
-            for slot, pattern, text in items
-        ]
+        outcomes: list[PairOutcome] = []
+        for slot, pattern, text in items:
+            cells = (len(pattern) + 1) * (len(text) + 1)
+            if cells > SWG_MAX_CELLS:
+                outcomes.append(
+                    PairOutcome.unsupported(
+                        slot,
+                        ERROR_UNSUPPORTED_READ,
+                        f"{cells} DP cells exceed the swg backend's limit "
+                        f"of {SWG_MAX_CELLS}",
+                    )
+                )
+            else:
+                res = swg_align(pattern, text, penalties)
+                outcomes.append(_outcome(slot, res, backtrace))
         return outcomes, None
 
 

@@ -18,7 +18,9 @@ of the matches between them are reconstructed by traversing the two
 sequences and greedily inserting matches — valid because WFA's extend()
 is maximal, so every match run on an optimal path is exactly the greedy
 run (§4.5: "the CPU traverses the two sequences and inserts all the
-necessary matches between the differences").
+necessary matches between the differences").  Both passes live in
+:mod:`repro.align.origin_walk`, which the batched software aligner
+shares; this module supplies the code lookup from the stream.
 
 Parsing is only possible because the per-step block layout is
 deterministic (see ``repro.align.lattice``): given the penalties,
@@ -33,14 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..align.cigar import Cigar
-from ..align.kernels import (
-    ORIGIN_D_EXT_BIT,
-    ORIGIN_I_EXT_BIT,
-    ORIGIN_M_DEL,
-    ORIGIN_M_INS,
-    ORIGIN_M_SUB,
-)
 from ..align.lattice import ScoreLattice
+from ..align.origin_walk import OriginWalkError, insert_matches, walk_origins
 from .config import WfasicConfig
 from .packets import (
     BT_PAYLOAD_BYTES,
@@ -345,66 +341,19 @@ class CpuBacktracer:
         self, entry: _ParsedAlignment, index: StepIndex, work: CpuBacktraceWork
     ) -> list[str]:
         """Origin-chain walk from the final cell down to score 0."""
-        p = self.config.penalties
-        x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         cache: dict[int, np.ndarray] = {}
-        ops: list[str] = []
-        matrix = "M"
-        s = entry.score
-        k = entry.k_reached
-        # Each op iteration lowers s by at least 1 and every matrix switch
-        # is followed by one, so 2*score + slack bounds the walk.
-        fuel = 2 * entry.score + 16
 
-        while s > 0:
-            if fuel <= 0:
-                raise BacktraceStreamError(
-                    f"alignment {entry.alignment_id}: origin walk did not "
-                    "converge (corrupt stream?)"
-                )
-            fuel -= 1
-            code = self._code_at(entry.payload, cache, *index.locate(s, k))
-            if matrix == "M":
-                origin = code & 0b111
-                if origin == ORIGIN_M_SUB:
-                    ops.append("X")
-                    s -= x
-                elif origin == ORIGIN_M_INS:
-                    matrix = "I"
-                elif origin == ORIGIN_M_DEL:
-                    matrix = "D"
-                else:
-                    raise BacktraceStreamError(
-                        f"alignment {entry.alignment_id}: NULL M origin at "
-                        f"(s={s}, k={k})"
-                    )
-            elif matrix == "I":
-                # The extend bit also records the *run structure*: an
-                # opened gap character starts a run (matches may precede
-                # it), an extension continues one (no matches inside).
-                k -= 1
-                if code & ORIGIN_I_EXT_BIT:
-                    ops.append("Ie")
-                    s -= e
-                else:
-                    ops.append("Io")
-                    s -= oe
-                    matrix = "M"
-            else:  # D
-                k += 1
-                if code & ORIGIN_D_EXT_BIT:
-                    ops.append("De")
-                    s -= e
-                else:
-                    ops.append("Do")
-                    s -= oe
-                    matrix = "M"
+        def code_at(s: int, k: int) -> int:
+            return self._code_at(entry.payload, cache, *index.locate(s, k))
 
-        if s != 0 or k != 0 or matrix != "M":
-            raise BacktraceStreamError(
-                f"alignment {entry.alignment_id}: walk ended at "
-                f"(s={s}, k={k}, {matrix}), expected (0, 0, M)"
+        try:
+            ops = walk_origins(
+                code_at, entry.score, entry.k_reached, self.config.penalties
             )
+        except OriginWalkError as exc:
+            raise BacktraceStreamError(
+                f"alignment {entry.alignment_id}: {exc}"
+            ) from None
         work.walk_ops += len(ops)
         return ops
 
@@ -412,53 +361,11 @@ class CpuBacktracer:
     def _insert_matches(
         ops: list[str], a: str, b: str, work: CpuBacktraceWork
     ) -> Cigar:
-        """Greedy match insertion between the recovered differences.
-
-        ``ops`` tokens are ``"X"`` or gap ops annotated with their run
-        structure (``"Io"``/``"Do"`` open a run, ``"Ie"``/``"De"`` extend
-        one).  Matches are inserted only *before* substitutions and run
-        openings: those positions are M-states of the WFA path, where
-        extension was maximal, so the greedy run is exactly the path's
-        run.  Inside a gap run no matches may be inserted, even when the
-        sequences happen to agree there — otherwise a coincidental match
-        would split the run and raise the gap-open count.
-        """
-        out: list[str] = []
-        i = j = 0
-        n, m = len(a), len(b)
-
-        def take_matches() -> None:
-            nonlocal i, j
-            while i < n and j < m and a[i] == b[j]:
-                out.append("M")
-                i += 1
-                j += 1
-
-        for op in ops:
-            if op == "X" or op in ("Io", "Do"):
-                take_matches()
-            if op == "X":
-                if i >= n or j >= m or a[i] == b[j]:
-                    raise BacktraceStreamError(
-                        f"substitution op lands on a match at ({i}, {j})"
-                    )
-                out.append("X")
-                i += 1
-                j += 1
-            elif op in ("Io", "Ie"):
-                if j >= m:
-                    raise BacktraceStreamError("insertion op past the text end")
-                out.append("I")
-                j += 1
-            else:
-                if i >= n:
-                    raise BacktraceStreamError("deletion op past the pattern end")
-                out.append("D")
-                i += 1
-        take_matches()
-        if i != n or j != m:
-            raise BacktraceStreamError(
-                f"reconstruction consumed ({i}, {j}) of ({n}, {m}) characters"
-            )
-        work.match_chars += sum(1 for c in out if c == "M")
-        return Cigar("".join(out))
+        """Greedy match insertion between the recovered differences
+        (:func:`repro.align.origin_walk.insert_matches`)."""
+        try:
+            cigar = insert_matches(ops, a, b)
+        except OriginWalkError as exc:
+            raise BacktraceStreamError(str(exc)) from None
+        work.match_chars += cigar.ops.count("M")
+        return cigar

@@ -1,17 +1,20 @@
 """Tests for the engine's backend registry and the shipped backends."""
 
 import random
+import time
 
 import pytest
 
 from repro.align import Cigar, DEFAULT_PENALTIES, WfaAligner, swg_align
 from repro.engine import (
+    ERROR_UNSUPPORTED_READ,
     AlignmentBackend,
+    align_pairs,
     backend_names,
     get_backend,
     register_backend,
 )
-from repro.engine.backends import _BACKENDS, PairOutcome
+from repro.engine.backends import _BACKENDS, SWG_MAX_CELLS, PairOutcome
 from tests.util import assert_valid_cigar, random_pair
 
 
@@ -142,3 +145,34 @@ class TestBatchedBackendSpecifics:
         )
         assert outcomes[0].score == 0
         assert profile is None
+
+
+class TestSwgSizeLimit:
+    def test_long_read_is_unsupported_within_seconds(self):
+        """A 10 kbp pair is refused, not filled as a 100 M-cell DP."""
+        long = "ACGT" * 2_500
+        start = time.perf_counter()
+        result = align_pairs(
+            [(long, long[::-1]), ("ACGT", "ACGA")],
+            backend="swg",
+            backtrace=True,
+            cache_size=0,
+        )
+        assert time.perf_counter() - start < 5
+        refused, short = result.outcomes
+        assert refused.ok and not refused.success
+        assert refused.error_kind == ERROR_UNSUPPORTED_READ
+        assert refused.cigar is None
+        assert short.success and short.score == swg_align("ACGT", "ACGA").score
+
+    def test_limit_is_on_dp_cells(self):
+        side = int(SWG_MAX_CELLS**0.5)
+        # A long read against an empty side is a thin matrix and aligns.
+        (thin,), _ = get_backend("swg").align_chunk(
+            [(0, "A" * (side * 4), "")], DEFAULT_PENALTIES, backtrace=False
+        )
+        assert thin.success
+        (wide,), _ = get_backend("swg").align_chunk(
+            [(0, "A" * side, "A" * (side + 1))], DEFAULT_PENALTIES, backtrace=False
+        )
+        assert not wide.success and wide.error_kind == ERROR_UNSUPPORTED_READ
