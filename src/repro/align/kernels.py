@@ -354,9 +354,6 @@ def compute_kernel_batched(
 class BandPruneOutput:
     """Result of one adaptive band-pruning step for a whole batch."""
 
-    #: int64 ``(3, pairs, new_width + 1)``: M/I/D, NULL padded, last
-    #: column a NULL pad (the layout of the input).
-    mid: np.ndarray
     lo: np.ndarray  # int64 (pairs,): new band start per pair
     hi: np.ndarray  # int64 (pairs,): new band end per pair
     pruned: np.ndarray  # int64 (pairs,): live cells discarded per pair
@@ -368,7 +365,7 @@ def band_prune_batched(
     hi: np.ndarray,
     band_width: int,
     keep: np.ndarray,
-) -> BandPruneOutput:
+) -> BandPruneOutput | None:
     """Trim every pair's wavefronts to ``band_width`` diagonals at once.
 
     ``mid`` stacks the M/I/D wavefronts as ``(3, pairs, width + 1)``:
@@ -378,17 +375,20 @@ def band_prune_batched(
     re-centers on its cell of maximum anti-diagonal progress
     ``2 * offset - k`` (ties to the lowest diagonal, matching
     ``np.argmax`` row-wise), clamps the window inside ``lo..hi``, and
-    gathers M/I/D into one shared band.  Rows flagged in ``keep``
-    (retiring pairs whose full-width wavefront feeds the backtrace) and
-    rows already no wider than the band pass through untouched;
-    ``pruned`` counts the live cells each row discarded.
+    keeps M/I/D in one shared band.  Rows flagged in ``keep`` (retiring
+    pairs whose full-width wavefront feeds the backtrace) and rows
+    already no wider than the band pass through untouched; ``pruned``
+    counts the live cells each row discarded.
+
+    The dropped cells are nulled in ``mid`` itself, so row ``p`` still
+    starts at diagonal ``lo[p]`` and is NULL outside its new band.
+    Returns ``None``, with ``mid`` untouched, when no row needs trimming.
     """
     m = mid[0]
     pad = m.shape[1] - 1
     need = (m.max(axis=1) >= 0) & ~keep & (hi - lo + 1 > band_width)
     if not np.count_nonzero(need):
-        zeros = np.zeros(m.shape[0], dtype=np.int64)
-        return BandPruneOutput(mid=mid, lo=lo, hi=hi, pruned=zeros)
+        return None
 
     ks = lo[:, None] + np.arange(pad + 1, dtype=np.int64)
     prog = np.where(m >= 0, 2 * m - ks, PROG_NULL)
@@ -397,20 +397,12 @@ def band_prune_batched(
     blo = np.where(need, blo, lo)
     bhi = np.where(need, blo + band_width - 1, hi)
 
-    outside = (ks < blo[:, None]) | (ks > bhi[:, None])
-    pruned = ((mid >= 0) & outside).sum(axis=(0, 2))
-
-    # Null what the new bands drop, so each row is NULL past its band
-    # and the windows can be cut in the padded layout; the extra column
-    # lands past every band, on the source's pad.
-    new_width = int((bhi - blo).max()) + 1
-    idx = window_columns(lo, pad, blo, new_width + 1, 0)
-    idx += np.arange(0, len(lo) * (pad + 1), pad + 1, dtype=np.int64)[:, None]
-    flat = np.where(outside, NULL_OFFSET, mid).reshape(3, -1)
-    out = np.empty((3, *idx.shape), dtype=np.int64)
-    for src, dst in zip(flat, out):
-        np.take(src, idx, out=dst)
-    return BandPruneOutput(mid=out, lo=blo, hi=bhi, pruned=pruned)
+    # Cells that are not live are NULL already: nulling the live ones
+    # outside the new bands leaves every row NULL past its band.
+    dropped = ((ks < blo[:, None]) | (ks > bhi[:, None])) & (mid >= 0)
+    pruned = dropped.sum(axis=(0, 2))
+    np.putmask(mid, dropped, NULL_OFFSET)
+    return BandPruneOutput(lo=blo, hi=bhi, pruned=pruned)
 
 
 def extend_kernel_batched(

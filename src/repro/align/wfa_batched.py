@@ -153,11 +153,13 @@ class _BatchRecord:
     minimum.
 
     ``mid`` stacks M, I and D as ``(3, pairs, width + 1)``.  Row ``p``
-    covers diagonals from ``band_m[0, p]``; cells past the pair's band,
-    whole rows of a matrix the pair has no wavefront in (all of them
-    when M has none), and the last (pad) column are NULL_OFFSET: the
-    layout of :func:`repro.align.kernels.window_columns`, so one index
-    per window serves all three matrices (:meth:`window`).
+    covers diagonals from ``row_lo[p]``, which is the start of the band
+    the step computed; band pruning narrows ``band_m`` and nulls the
+    dropped cells in place.  Cells outside the pair's band, whole rows
+    of a matrix the pair has no wavefront in (all of them when M has
+    none), and the last (pad) column are NULL_OFFSET: the layout of
+    :func:`repro.align.kernels.window_columns`, so one index per window
+    serves all three matrices (:meth:`window`).
 
     ``row_cells`` counts the cells stored per pair (band width x live
     matrices), the unit of the ``peak_wavefront_bytes`` model.
@@ -165,7 +167,7 @@ class _BatchRecord:
 
     __slots__ = (
         "mid", "meta", "width", "row_base", "band_m", "band_id",
-        "row_cells", "m_flat", "i_flat", "d_flat",
+        "row_cells", "row_lo", "m_flat", "i_flat", "d_flat",
     )
 
     def __init__(self, mid: np.ndarray, meta: np.ndarray) -> None:
@@ -179,15 +181,22 @@ class _BatchRecord:
         self.band_m = meta[0:2]
         self.band_id = meta[2:4]
         self.row_cells = meta[4]
+        self.row_lo = meta[5]
         self.m_flat, self.i_flat, self.d_flat = mid.reshape(3, -1)
 
     @classmethod
     def build(
-        cls, mid: np.ndarray, live: np.ndarray, band: np.ndarray, width: np.ndarray
+        cls,
+        mid: np.ndarray,
+        live: np.ndarray,
+        band: np.ndarray,
+        width: np.ndarray,
+        row_lo: np.ndarray,
     ) -> "_BatchRecord":
         """A record of ``mid`` with per-matrix ``live`` rows, ``band``
-        (``[lo, -hi]`` per row) and band ``width`` per row."""
-        meta = np.empty((5, mid.shape[1]), dtype=np.int64)
+        (``[lo, -hi]`` per row), band ``width`` per row and each row's
+        first stored diagonal ``row_lo``."""
+        meta = np.empty((6, mid.shape[1]), dtype=np.int64)
         meta[0:2] = band
         meta[2:4] = band
         if np.count_nonzero(live) < live.size:
@@ -196,6 +205,7 @@ class _BatchRecord:
         # I and D cells only exist where M does, so a row with no M
         # wavefront stores nothing.
         np.multiply(width, np.add.reduce(live, axis=0), out=meta[4])
+        meta[5] = row_lo
         return cls(mid, meta)
 
     def window(self, lo_new: np.ndarray, cols: int, shift: int) -> np.ndarray:
@@ -204,9 +214,8 @@ class _BatchRecord:
         ``m_flat[idx]`` (or ``i_flat``/``d_flat``) is the ``(pairs,
         cols)`` window, NULL_OFFSET outside the pair's band.
         """
-        # A pair without M has a NULL row: its absent start clamps every
-        # column onto the pad, and any column would read NULL anyway.
-        idx = window_columns(self.band_m[0], self.width, lo_new, cols, shift)
+        # A pair without M has an all-NULL row: any column reads NULL.
+        idx = window_columns(self.row_lo, self.width, lo_new, cols, shift)
         idx += self.row_base
         return idx
 
@@ -374,7 +383,9 @@ class BatchedWfaAligner:
         live.peak_width[:] = live.live_cells[:] = live.peak_cells[:] = 1
         live0 = np.zeros((3, num_pairs), dtype=bool)
         live0[0] = True
-        records[0] = _BatchRecord.build(mid, live0, np.stack((zero, zero)), zero + 1)
+        records[0] = _BatchRecord.build(
+            mid, live0, np.stack((zero, zero)), zero + 1, zero
+        )
         done = (live.kfin == 0) & (mid[0, :, 0] == live.ms)
         if np.count_nonzero(done) and retire(done, 0, 0):
             return _finalize(results)
@@ -504,8 +515,7 @@ class BatchedWfaAligner:
             if band_width is not None:
                 t0 = clock()
                 pr = band_prune_batched(mid, lo_new, -band[1], band_width, done)
-                if pr.mid is not mid:
-                    mid = pr.mid
+                if pr is not None:
                     band = np.stack((pr.lo, -pr.hi))
                     w_f = pr.hi - pr.lo + 1
                     live.pruned += pr.pruned
@@ -515,7 +525,7 @@ class BatchedWfaAligner:
                 np.copyto(live.last_live, s, where=live_f[0])
                 prof.add("band", clock() - t0)
 
-            rec = records[s] = _BatchRecord.build(mid, live_f, band, w_f)
+            rec = records[s] = _BatchRecord.build(mid, live_f, band, w_f, lo_new)
             if out.origins is not None:
                 history[s] = (out.origins, lo_new, act)
             live.live_cells += rec.row_cells

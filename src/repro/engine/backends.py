@@ -40,6 +40,7 @@ from ..align.profile import StageProfiler
 from ..align.swg import SwgResult, swg_align
 from ..align.wfa import WfaResult
 from ..align.wfa_batched import BatchedWfaAligner
+from ..workloads.alphabet import UNSUPPORTED_TOO_LONG
 from .validation import ERROR_UNSUPPORTED_READ
 
 __all__ = [
@@ -270,10 +271,12 @@ class WfasicBackend(AlignmentBackend):
     Chunk-level batching mirrors the hardware: the whole chunk becomes
     one input image and one accelerator run through the shared batch
     flow, so the Extractor/Collector paths and the hardware limits
-    (MAX_READ_LEN, Eq. 6 Score_max) all apply.  Unsupported pairs come
-    back with ``success=False``.  The image skips SoC memory: one 10 kbp
-    pair at 10 % error streams ~9 MB of backtrace data, so a chunk of
-    them would overflow the SoC's 64 MB.
+    (MAX_READ_LEN, Eq. 6 Score_max) all apply.  Pairs the hardware
+    cannot finish come back with ``success=False``; a read past
+    MAX_READ_LEN is also marked ``unsupported_read``, as the ``swg``
+    backend marks pairs past its cell limit.  The image skips SoC
+    memory: one 10 kbp pair at 10 % error streams ~9 MB of backtrace
+    data, so a chunk of them would overflow the SoC's 64 MB.
     """
 
     name = "wfasic"
@@ -306,16 +309,26 @@ class WfasicBackend(AlignmentBackend):
         # simulation began on the wall clock.
         publish_accelerator_batch(batch, base_us=base_us)
         answers = batch_answers(batch, pairs)
-        outcomes = [
-            PairOutcome(
-                slot=slot,
-                score=answers.scores[local],
-                success=answers.success[local],
-                # An empty alignment has the valid empty CIGAR "".
-                cigar=None if (cigar := answers.cigars[local]) is None else cigar.compact(),
+        outcomes: list[PairOutcome] = []
+        for local, (slot, pattern, text) in enumerate(items):
+            if max(len(pattern), len(text)) > cfg.max_read_len:
+                # The Extractor skipped the pair (§4.2): it was not aligned.
+                outcomes.append(
+                    PairOutcome.unsupported(
+                        slot, ERROR_UNSUPPORTED_READ, UNSUPPORTED_TOO_LONG
+                    )
+                )
+                continue
+            cigar = answers.cigars[local]
+            outcomes.append(
+                PairOutcome(
+                    slot=slot,
+                    score=answers.scores[local],
+                    success=answers.success[local],
+                    # An empty alignment has the valid empty CIGAR "".
+                    cigar=None if cigar is None else cigar.compact(),
+                )
             )
-            for local, (slot, _, _) in enumerate(items)
-        ]
         return outcomes, None
 
 

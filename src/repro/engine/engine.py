@@ -58,6 +58,7 @@ from .validation import (
     ERROR_BACKEND,
     ERROR_INVALID_BASE,
     ERROR_TIMEOUT,
+    ERROR_UNSUPPORTED_READ,
     ERROR_WORKER_LOST,
     classify_pair,
     normalize_pair,
@@ -192,7 +193,8 @@ class BatchReport:
     backend: str
     workers: int
     num_pairs: int
-    #: Pairs actually aligned by a backend (after cache hits + coalescing).
+    #: Pairs actually aligned by a backend (after cache hits + coalescing);
+    #: a read the backend answered unsupported is not counted.
     pairs_aligned: int
     cache_hits: int
     #: Within-batch duplicates answered from another item's result.
@@ -589,7 +591,7 @@ class BatchAlignmentEngine:
 
         # 4 -- gather, fill the cache, fan results out to duplicates.
         worker_lanes: dict[int, int] = {}
-        band_fallbacks = peak_wavefront_bytes = 0
+        band_fallbacks = peak_wavefront_bytes = pairs_aligned = 0
         with prof.stage("gather"):
             for worker_id, chunk_start, busy, chunk_outcomes, chunk_profile in (
                 chunk_results
@@ -615,6 +617,8 @@ class BatchAlignmentEngine:
                         },
                     )
                 for outcome in chunk_outcomes:
+                    # A read the backend answered unsupported was not aligned.
+                    pairs_aligned += outcome.error_kind != ERROR_UNSUPPORTED_READ
                     band_fallbacks += outcome.band_fallback
                     peak_wavefront_bytes += outcome.peak_wavefront_bytes
                     key = keys_in_order[outcome.slot]
@@ -629,7 +633,7 @@ class BatchAlignmentEngine:
             backend=cfg.backend,
             workers=cfg.workers,
             num_pairs=len(sequences),
-            pairs_aligned=len(work_items),
+            pairs_aligned=pairs_aligned,
             cache_hits=cache_hits,
             coalesced=coalesced,
             errors=errors,

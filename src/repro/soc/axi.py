@@ -61,6 +61,6 @@ class AxiFull:
         self.beats_read += padded // AXI_DATA_BYTES
         return self.memory.read(addr, size)
 
-    def write_stream(self, addr: int, data: bytes) -> None:
+    def write_stream(self, addr: int, data: bytes | bytearray) -> None:
         self.beats_written += -(-len(data) // AXI_DATA_BYTES)
         self.memory.write(addr, data)

@@ -5,9 +5,15 @@ regions the co-design flow needs (input image, result region), plus
 access counters for bandwidth sanity checks.  All addresses are offsets
 into one address space shared by the CPU (via AXI-Lite or the L2 path)
 and the WFAsic DMA (via AXI-Full).
+
+The bytes live in an anonymous ``mmap``: the OS hands out zero pages on
+first touch, so a 64 MB SoC costs resident memory only for the regions a
+batch actually writes or reads.
 """
 
 from __future__ import annotations
+
+import mmap
 
 __all__ = ["MemoryError_", "MainMemory"]
 
@@ -23,7 +29,7 @@ class MainMemory:
         if size <= 0:
             raise ValueError("memory size must be > 0")
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size)
         self._next_free = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -54,11 +60,13 @@ class MainMemory:
     # -- access ------------------------------------------------------------------
 
     def read(self, addr: int, size: int) -> bytes:
+        """A copy of ``size`` bytes at ``addr`` (later writes leave it
+        unchanged)."""
         self._check(addr, size)
         self.bytes_read += size
-        return bytes(self._data[addr : addr + size])
+        return self._data[addr : addr + size]
 
-    def write(self, addr: int, data: bytes) -> None:
+    def write(self, addr: int, data: bytes | bytearray) -> None:
         self._check(addr, len(data))
         self.bytes_written += len(data)
         self._data[addr : addr + len(data)] = data

@@ -98,11 +98,21 @@ class _ParsedAlignment:
     success: bool
     score: int
     k_reached: int
-    payload: bytes  # reassembled origin blocks (multiple of 40 bytes)
+    #: Reassembled origin blocks: one row per data transaction, its 10
+    #: payload bytes (a view into the stream when no reordering was needed).
+    payload: np.ndarray
+
+
+def _counters_and_ids(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 24-bit counter and 23-bit alignment ID of each transaction from
+    its bytes 8..15 read as two little-endian uint32 words."""
+    counters = (words[:, 0] >> 16) | ((words[:, 1] & 0xFF) << 16)
+    ids = (words[:, 1] >> 8) & 0x7FFFFF
+    return counters, ids
 
 
 def parse_bt_stream(
-    stream: bytes, *, separate: bool, work: CpuBacktraceWork
+    stream: bytes | bytearray, *, separate: bool, work: CpuBacktraceWork
 ) -> list[_ParsedAlignment]:
     """Demultiplex a raw BT stream into per-alignment payloads.
 
@@ -110,7 +120,9 @@ def parse_bt_stream(
     gathered by alignment ID regardless of interleaving, and every payload
     byte is charged to ``work.separation_bytes``.  ``separate=False``
     requires each alignment's transactions to be consecutive (single
-    Aligner) and only scans for boundaries.
+    Aligner) and only scans for boundaries: each alignment's payload is
+    then a slice of the stream, reordered only if its counters are not
+    already increasing.
     """
     if len(stream) % SECTION_BYTES:
         raise BacktraceStreamError("stream length is not a multiple of 16 bytes")
@@ -119,72 +131,57 @@ def parse_bt_stream(
     work.transactions_scanned += n_txn
     if n_txn == 0:
         return []
-
-    counters = (
-        raw[:, 10].astype(np.int64)
-        | (raw[:, 11].astype(np.int64) << 8)
-        | (raw[:, 12].astype(np.int64) << 16)
-    )
-    flags = (
-        raw[:, 13].astype(np.int64)
-        | (raw[:, 14].astype(np.int64) << 8)
-        | (raw[:, 15].astype(np.int64) << 16)
-    )
-    ids = flags & 0x7FFFFF
-    last = (flags >> 23).astype(bool)
+    # Bytes 8..15: counter in bits 16..39, ID in bits 40..62, Last bit 63.
+    words = raw[:, 8:].view("<u4")
+    last = words[:, 1] >= 1 << 31
 
     out: list[_ParsedAlignment] = []
 
-    def finish(aid: int, idxs: np.ndarray) -> None:
-        sub_counters = counters[idxs]
-        sub_last = last[idxs]
-        if int(sub_last.sum()) != 1 or not sub_last[np.argmax(sub_counters)]:
+    def finish(
+        aid: int, rows: slice | np.ndarray, counters: np.ndarray, sub_last: np.ndarray
+    ) -> None:
+        if int(sub_last.sum()) != 1 or not sub_last[np.argmax(counters)]:
             raise BacktraceStreamError(
                 f"alignment {aid}: malformed Last-flag structure"
             )
-        order = np.argsort(sub_counters, kind="stable")
-        idxs = idxs[order]
-        final_idx = idxs[-1]
-        data_idxs = idxs[:-1]
-        payload = raw[data_idxs, :BT_PAYLOAD_BYTES].tobytes()
-        success, k_reached, score = unpack_bt_final_payload(
-            raw[final_idx, :BT_PAYLOAD_BYTES].tobytes()
-        )
+        payload = raw[rows, :BT_PAYLOAD_BYTES]
+        if not (counters[1:] >= counters[:-1]).all():
+            payload = payload[np.argsort(counters, kind="stable")]
+        success, k_reached, score = unpack_bt_final_payload(payload[-1].tobytes())
         out.append(
             _ParsedAlignment(
                 alignment_id=aid,
                 success=success,
                 score=score,
                 k_reached=k_reached,
-                payload=payload,
+                payload=payload[:-1],
             )
         )
 
     if separate:
         # Data separation: move every alignment's payload bytes together.
+        counters, ids = _counters_and_ids(words)
         order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        groups = np.split(order, boundaries)
-        for idxs in groups:
+        boundaries = np.flatnonzero(np.diff(ids[order])) + 1
+        for idxs in np.split(order, boundaries):
             aid = int(ids[idxs[0]])
             work.separation_bytes += len(idxs) * BT_PAYLOAD_BYTES
-            finish(aid, idxs)
+            finish(aid, idxs, counters[idxs], last[idxs])
         # Preserve completion order (order of Last transactions).
         finish_order = {int(ids[i]): pos for pos, i in enumerate(np.flatnonzero(last))}
         out.sort(key=lambda p: finish_order.get(p.alignment_id, 0))
     else:
         # No separation: alignments are consecutive; split at Last flags.
-        ends = np.flatnonzero(last)
         start = 0
-        for end in ends:
-            idxs = np.arange(start, end + 1)
-            aid = int(ids[end])
-            if not (ids[idxs] == aid).all():
+        for end in np.flatnonzero(last).tolist():
+            rows = slice(start, end + 1)
+            counters, ids = _counters_and_ids(words[rows])
+            aid = int(ids[-1])
+            if not (ids == aid).all():
                 raise BacktraceStreamError(
                     "interleaved stream passed to the no-separation method"
                 )
-            finish(aid, idxs)
+            finish(aid, rows, counters, last[rows])
             start = end + 1
         if start != n_txn:
             raise BacktraceStreamError("trailing transactions without a Last flag")
@@ -254,7 +251,7 @@ class CpuBacktracer:
 
     def process(
         self,
-        stream: bytes,
+        stream: bytes | bytearray,
         sequences: dict[int, tuple[str, str]],
         *,
         separate: bool,
@@ -305,12 +302,12 @@ class CpuBacktracer:
         work.index_steps += index.num_steps
         expected_blocks = index.total_blocks
         block_bytes = self.config.bt_block_bytes
-        if len(entry.payload) % block_bytes:
+        if entry.payload.size % block_bytes:
             raise BacktraceStreamError(
                 f"alignment {entry.alignment_id}: payload is not whole "
                 f"{block_bytes}-byte blocks"
             )
-        have_blocks = len(entry.payload) // block_bytes
+        have_blocks = entry.payload.size // block_bytes
         if have_blocks != expected_blocks:
             raise BacktraceStreamError(
                 f"alignment {entry.alignment_id}: {have_blocks} blocks in "
@@ -327,12 +324,13 @@ class CpuBacktracer:
         return cigar
 
     def _code_at(
-        self, payload: bytes, cache: dict[int, np.ndarray], block: int, slot: int
+        self, payload: np.ndarray, cache: dict[int, np.ndarray], block: int, slot: int
     ) -> int:
         codes = cache.get(block)
         if codes is None:
-            bb = self.config.bt_block_bytes
-            raw = payload[block * bb : (block + 1) * bb]
+            # A backtrace configuration's blocks are whole payload rows.
+            rows = self.config.bt_block_bytes // BT_PAYLOAD_BYTES
+            raw = payload[block * rows : (block + 1) * rows].tobytes()
             codes = unpack_origin_codes(raw, self.config.parallel_sections)
             cache[block] = codes
         return int(codes[slot])

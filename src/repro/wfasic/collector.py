@@ -20,14 +20,19 @@ at block granularity.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
+
+import numpy as np
 
 from .aligner import AlignerRun
 from .packets import (
     BT_PAYLOAD_BYTES,
     SECTION_BYTES,
     NbtRecord,
+    bt_transaction_count,
     frame_bt_blocks,
     pack_bt_final_block,
     pack_nbt_record,
@@ -40,13 +45,13 @@ __all__ = ["CollectorNBT", "CollectorBT", "CollectorOutput"]
 @dataclass(frozen=True)
 class CollectorOutput:
     """What a collector hands to the output FIFO / DMA: 16-byte
-    transactions, back to back."""
+    transactions, back to back (Collector BT fills a ``bytearray``)."""
 
-    stream: bytes
+    stream: bytes | bytearray
 
     @property
     def transactions(self) -> list[bytes]:
-        return split_transactions(self.stream)
+        return split_transactions(bytes(self.stream))
 
     @property
     def num_transactions(self) -> int:
@@ -56,7 +61,7 @@ class CollectorOutput:
     def total_bytes(self) -> int:
         return len(self.stream)
 
-    def as_stream(self) -> bytes:
+    def as_stream(self) -> bytes | bytearray:
         return self.stream
 
 
@@ -89,16 +94,19 @@ class CollectorBT:
     """Backtrace-enabled collector: origin blocks -> 16-byte transactions.
 
     With the shipped 64 parallel sections each 40-byte block frames into
-    four transactions; other PS counts frame proportionally.
+    four transactions; other PS counts frame proportionally.  Every run
+    is framed straight into one buffer that becomes the stream.
     """
 
     def frame_run(self, run: AlignerRun) -> list[bytes]:
         """All transactions of one alignment, in stream order."""
-        return split_transactions(self._run_stream(run))
+        stream, _ = self._frame([run])
+        return split_transactions(bytes(stream))
 
     def collect(self, runs: list[AlignerRun]) -> CollectorOutput:
         """Single-Aligner stream: each alignment's data is consecutive."""
-        return CollectorOutput(stream=b"".join(map(self._run_stream, runs)))
+        stream, _ = self._frame(runs)
+        return CollectorOutput(stream=stream)
 
     def interleave(self, runs: list[AlignerRun], num_aligners: int) -> CollectorOutput:
         """Multi-Aligner stream: concurrent alignments interleave.
@@ -109,46 +117,82 @@ class CollectorBT:
         schedule here is round-robin at block granularity among the
         ``num_aligners`` alignments in flight, which matches the hardware
         collector polling its Aligners; any interleaving forces the same
-        CPU-side separation work.
+        CPU-side separation work.  The consecutive stream's rows are
+        gathered in that order into a second buffer.
         """
         if num_aligners < 1:
             raise ValueError("num_aligners must be >= 1")
         if num_aligners == 1:
             return self.collect(runs)
-        pending = [iter(self._chunks(run)) for run in runs]
-        active: list = []
-        out: list[bytes] = []
-        queue = list(range(len(runs)))
-        # Fill the initial in-flight window.
-        while queue and len(active) < num_aligners:
-            active.append(pending[queue.pop(0)])
+        framed, starts = self._frame(runs)
+        order = self._round_robin(runs, starts, num_aligners)
+        stream = bytearray(len(framed))
+        np.take(_rows(framed), order, axis=0, out=_rows(stream))
+        return CollectorOutput(stream=stream)
+
+    def _frame(self, runs: list[AlignerRun]) -> tuple[bytearray, list[int]]:
+        """Every run's transactions, back to back in one buffer: its
+        origin blocks (counters from 0), then the score record with Last
+        set.  Also returns the run boundaries: run ``i`` fills rows
+        ``starts[i]:starts[i + 1]``."""
+        sizes = []
+        for run in runs:
+            if run.bt_blocks is None:
+                raise ValueError("CollectorBT needs an Aligner run with backtrace data")
+            sizes.append(bt_transaction_count(run.bt_blocks, 0, run.alignment_id) + 1)
+        starts = list(accumulate(sizes, initial=0))
+        stream = bytearray(starts[-1] * SECTION_BYTES)
+        rows = _rows(stream)
+        for run, lo, hi in zip(runs, starts, starts[1:]):
+            assert run.bt_blocks is not None
+            frame_bt_blocks(run.bt_blocks, 0, run.alignment_id, out=rows[lo : hi - 1])
+            rows[hi - 1] = np.frombuffer(
+                pack_bt_final_block(
+                    run.success, run.k_reached, run.score, hi - 1 - lo, run.alignment_id
+                ),
+                dtype=np.uint8,
+            )
+        return stream, starts
+
+    @staticmethod
+    def _round_robin(
+        runs: list[AlignerRun], starts: list[int], num_aligners: int
+    ) -> np.ndarray:
+        """Row order of the interleaved stream over the consecutive one.
+
+        Each alignment in flight sends one block's worth of transactions
+        per turn; a finished alignment's place goes to the next one.
+        """
+
+        def chunks(run: AlignerRun, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+            per_block = 1
+            if run.bt_blocks:
+                per_block = len(run.bt_blocks[0]) // BT_PAYLOAD_BYTES
+            for row in range(lo, hi, per_block):
+                yield row, min(per_block, hi - row)
+
+        queue = deque(
+            chunks(run, lo, hi) for run, lo, hi in zip(runs, starts, starts[1:])
+        )
+        active = [queue.popleft() for _ in range(min(num_aligners, len(queue)))]
+        firsts: list[int] = []
+        lengths: list[int] = []
         while active:
             for it in list(active):
                 chunk = next(it, None)
                 if chunk is None:
                     active.remove(it)
                     if queue:
-                        active.append(pending[queue.pop(0)])
+                        active.append(queue.popleft())
                 else:
-                    out.extend(chunk)
-        return CollectorOutput(stream=b"".join(out))
+                    firsts.append(chunk[0])
+                    lengths.append(chunk[1])
+        # Row i of chunk c comes from firsts[c] + (i - the chunk's offset).
+        counts = np.array(lengths, dtype=np.int64)
+        shift = np.array(firsts, dtype=np.int64) - (np.cumsum(counts) - counts)
+        return np.arange(starts[-1]) + np.repeat(shift, counts)
 
-    def _run_stream(self, run: AlignerRun) -> bytes:
-        """One alignment's transactions: its origin blocks framed as one
-        array (counters from 0), then the score record with Last set."""
-        if run.bt_blocks is None:
-            raise ValueError("CollectorBT needs an Aligner run with backtrace data")
-        txns = frame_bt_blocks(run.bt_blocks, 0, run.alignment_id)
-        return txns.tobytes() + pack_bt_final_block(
-            run.success, run.k_reached, run.score, len(txns), run.alignment_id
-        )
 
-    def _chunks(self, run: AlignerRun) -> Iterator[list]:
-        """Per-alignment transaction stream, one block's worth at a time."""
-        txns = self.frame_run(run)
-        if run.bt_blocks:
-            per_block = len(run.bt_blocks[0]) // BT_PAYLOAD_BYTES
-        else:
-            per_block = 1
-        for off in range(0, len(txns), per_block):
-            yield txns[off : off + per_block]
+def _rows(stream: bytearray) -> np.ndarray:
+    """A writable ``(transactions, 16)`` view of a stream buffer."""
+    return np.frombuffer(stream, dtype=np.uint8).reshape(-1, SECTION_BYTES)

@@ -61,6 +61,7 @@ __all__ = [
     "unpack_nbt_record",
     "BtTransaction",
     "split_transactions",
+    "bt_transaction_count",
     "frame_bt_blocks",
     "pack_bt_block",
     "unpack_bt_transaction",
@@ -292,16 +293,13 @@ def split_transactions(stream: bytes) -> list[bytes]:
     return [stream[off : off + SECTION_BYTES] for off in range(0, len(stream), SECTION_BYTES)]
 
 
-def frame_bt_blocks(
+def bt_transaction_count(
     blocks: list[bytes], first_counter: int, alignment_id: int
-) -> np.ndarray:
-    """Frame backtrace blocks as one ``(transactions, 16)`` uint8 array.
+) -> int:
+    """Transactions :func:`frame_bt_blocks` makes of ``blocks``.
 
-    The blocks' payload is cut into 10-byte pieces; row ``t`` holds piece
-    ``t``, the counter ``first_counter + t`` (uint24 LE) and the
-    alignment ID with the Last flag clear (uint24 LE) — every
-    transaction built at once.  Raises ``ValueError`` when a block is not
-    a non-empty multiple of 10 bytes or a field overflows.
+    Raises ``ValueError`` when a block is not a non-empty multiple of 10
+    bytes or a field overflows.
     """
     for size in set(map(len, blocks)):
         if size == 0 or size % BT_PAYLOAD_BYTES:
@@ -314,13 +312,36 @@ def frame_bt_blocks(
         raise ValueError("BT counter field is 24 bits")
     if not 0 <= alignment_id < 2**23:
         raise ValueError("BT alignment ID field is 23 bits")
+    return count
+
+
+def frame_bt_blocks(
+    blocks: list[bytes],
+    first_counter: int,
+    alignment_id: int,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Frame backtrace blocks as one ``(transactions, 16)`` uint8 array.
+
+    The blocks' payload is cut into 10-byte pieces; row ``t`` holds piece
+    ``t``, the counter ``first_counter + t`` (uint24 LE) and the
+    alignment ID with the Last flag clear (uint24 LE) — every
+    transaction built at once.  The rows go to ``out`` when given (its
+    shape must match), else to a new array.  Raises ``ValueError`` as
+    :func:`bt_transaction_count` does.
+    """
+    count = bt_transaction_count(blocks, first_counter, alignment_id)
+    if out is None:
+        out = np.empty((count, SECTION_BYTES), dtype=np.uint8)
+    elif out.shape != (count, SECTION_BYTES):
+        raise ValueError(f"out must have shape ({count}, {SECTION_BYTES})")
     payload = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    txns = np.empty((count, SECTION_BYTES), dtype=np.uint8)
-    txns[:, :BT_PAYLOAD_BYTES] = payload.reshape(count, BT_PAYLOAD_BYTES)
+    out[:, :BT_PAYLOAD_BYTES] = payload.reshape(count, BT_PAYLOAD_BYTES)
     counters = np.arange(first_counter, first_counter + count, dtype="<u4")
-    txns[:, 10:13] = counters.view(np.uint8).reshape(count, 4)[:, :3]
-    txns[:, 13:16] = np.frombuffer(alignment_id.to_bytes(3, "little"), dtype=np.uint8)
-    return txns
+    out[:, 10:13] = counters.view(np.uint8).reshape(count, 4)[:, :3]
+    out[:, 13:16] = np.frombuffer(alignment_id.to_bytes(3, "little"), dtype=np.uint8)
+    return out
 
 
 def pack_bt_block(

@@ -194,6 +194,19 @@ class TestValidationIsolation:
         assert res.outcomes[0].success and not res.outcomes[1].success
         assert res.report.swg_cells == swg_equivalent_cells(8, 8)
 
+    def test_unsupported_reads_not_counted_as_aligned(self):
+        # A pair the backend answers unsupported was dispatched but not
+        # aligned: swg past its DP-cell limit, wfasic past MAX_READ_LEN.
+        long = "ACGT" * 2500
+        res = align_pairs([(long, long[::-1]), ("ACGT", "ACGA")], backend="swg")
+        assert not res.outcomes[0].success and res.outcomes[1].success
+        assert res.report.pairs_aligned == 1
+        res = align_pairs(
+            [("A" * 10_001, "A" * 10_001), ("ACGT", "ACGA")], backend="wfasic"
+        )
+        assert not res.outcomes[0].success and res.outcomes[1].success
+        assert res.report.pairs_aligned == 1
+
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=24)
 malformed = st.sampled_from(["ACQT", "AC!T", "NNNN", "ACGN", "xyz"])
