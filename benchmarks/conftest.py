@@ -86,9 +86,9 @@ def _measure(name: str) -> SetMeasurement:
     acc_b = soc_b.run_accelerated(pairs, backtrace=True, separate=False)
     # Re-run only the CPU backtrace with data separation on the same
     # accelerator stream (the stream itself is identical for 1 Aligner).
-    stream = soc_b.driver.result_stream()
     seqs = {p.pair_id: (p.pattern, p.text) for p in pairs}
-    _, sep_work = CpuBacktracer(soc_b.config).process(stream, seqs, separate=True)
+    with soc_b.driver.result_stream() as stream:
+        _, sep_work = CpuBacktracer(soc_b.config).process(stream, seqs, separate=True)
     sep_cpu = soc_b.cpu.backtrace_cycles(sep_work, num_alignments=n)
     accel_bt_sep_total = acc_b.accelerator_cycles + sep_cpu
 
@@ -114,7 +114,7 @@ def _measure(name: str) -> SetMeasurement:
         extras={
             "accel_bt_2x32_accel": acc_2.accelerator_cycles,
             "accel_bt_2x32_cpu": acc_2.cpu_backtrace_cycles,
-            "bt_txns_per_pair": len(stream) // 16 // n,
+            "bt_txns_per_pair": acc_b.batch.output.num_transactions // n,
         },
     )
 

@@ -119,7 +119,7 @@ def test_fig11(measurements, report_table, benchmark):
     pairs = make_input_set("100-10%", 8)
     soc = Soc(WfasicConfig.paper_default(backtrace=True))
     soc.run_accelerated(pairs, backtrace=True, separate=False)
-    stream = soc.driver.result_stream()
     seqs = {p.pair_id: (p.pattern, p.text) for p in pairs}
     tracer = CpuBacktracer(soc.config)
-    benchmark(lambda: tracer.process(stream, seqs, separate=False))
+    with soc.driver.result_stream() as stream:
+        benchmark(lambda: tracer.process(stream, seqs, separate=False))

@@ -113,35 +113,38 @@ def compute_kernel(
 
     Dead cells — offset beyond the text end ``m``, row ``i = offset - k``
     beyond the pattern end ``n``, or no live source — are nulled *before*
-    the max so they can never shadow a live candidate.
+    the max so they can never shadow a live candidate.  ``m``, ``i`` and
+    ``d`` of the output are the rows of one stacked array, computed as
+    :func:`compute_kernel_batched` computes a batch row.
     """
-    ins = np.maximum(m_oe_km1, i_e_km1) + 1
-    dele = np.maximum(m_oe_kp1, d_e_kp1)
-    sub = m_x + 1
+    mid = np.empty((3, len(ks)), dtype=np.int64)
+    mwf, ins, dele = mid
+    np.add(m_x, 1, out=mwf)
+    np.maximum(m_oe_km1, i_e_km1, out=ins)
+    ins += 1
+    np.maximum(m_oe_kp1, d_e_kp1, out=dele)
 
-    for arr in (ins, dele, sub):
-        dead = (arr > m) | (arr - ks > n) | (arr < 0)
-        arr[dead] = NULL_OFFSET
+    # A candidate lives iff ``0 <= offset < room``: within the text
+    # (``offset <= m``) and the pattern (``offset - k <= n``).  Viewed as
+    # unsigned, one comparison checks both ends, for all three at once.
+    room = ks + (n + 1)
+    np.minimum(room, m + 1, out=room)
+    np.maximum(room, 0, out=room)
+    np.putmask(mid, mid.view(np.uint64) >= room.view(np.uint64), NULL_OFFSET)
 
-    mwf = np.maximum(np.maximum(ins, dele), sub)
-
+    gap = np.maximum(ins, dele)
     origins: np.ndarray | None = None
     if emit_origins:
         # Tie-breaking must mirror the backtrace preference order:
         # substitution, then insertion, then deletion; and within I/D,
         # extend over open.
-        origins = np.zeros(len(ks), dtype=np.uint8)
-        live = mwf >= 0
-        m_orig = np.full(len(ks), ORIGIN_M_NONE, dtype=np.uint8)
-        take_del = live & (mwf == dele)
-        m_orig[take_del] = ORIGIN_M_DEL
-        take_ins = live & (mwf == ins)
-        m_orig[take_ins] = ORIGIN_M_INS
-        take_sub = live & (mwf == sub)
-        m_orig[take_sub] = ORIGIN_M_SUB
-        origins |= m_orig
-        origins |= np.where(i_e_km1 >= m_oe_km1, ORIGIN_I_EXT_BIT, 0).astype(np.uint8)
-        origins |= np.where(d_e_kp1 >= m_oe_kp1, ORIGIN_D_EXT_BIT, 0).astype(np.uint8)
+        origins = (ins < dele).view(np.uint8) + np.uint8(ORIGIN_M_INS)
+        np.putmask(origins, mwf >= gap, ORIGIN_M_SUB)
+    np.maximum(mwf, gap, out=mwf)
+    if origins is not None:
+        np.putmask(origins, mwf < 0, ORIGIN_M_NONE)
+        origins |= (i_e_km1 >= m_oe_km1).view(np.uint8) * np.uint8(ORIGIN_I_EXT_BIT)
+        origins |= (d_e_kp1 >= m_oe_kp1).view(np.uint8) * np.uint8(ORIGIN_D_EXT_BIT)
 
     return ComputeOutput(m=mwf, i=ins, d=dele, origins=origins)
 

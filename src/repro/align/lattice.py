@@ -29,6 +29,7 @@ the same recurrences as Eq. 3:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .penalties import AffinePenalties
 
@@ -77,6 +78,13 @@ class ScoreLattice:
         self._m: dict[int, Band | None] = {0: Band(0, 0)}
         self._i: dict[int, Band | None] = {0: None}
         self._d: dict[int, Band | None] = {0: None}
+
+    @staticmethod
+    def of(penalties: AffinePenalties) -> ScoreLattice:
+        """The lattice of ``penalties``, built once and shared: its bands
+        depend on nothing else, so every batch reuses what earlier ones
+        resolved."""
+        return _shared_lattice(penalties)
 
     # -- queries ---------------------------------------------------------
 
@@ -152,6 +160,13 @@ class ScoreLattice:
             if extra is not None:
                 m_band = extra.union(m_band) if m_band is not None else extra
 
-        self._m[s] = m_band
+        # ``s in self._m`` marks the score resolved, so it is set last: a
+        # shared lattice may be read by another thread meanwhile.
         self._i[s] = i_band
         self._d[s] = d_band
+        self._m[s] = m_band
+
+
+@lru_cache(maxsize=64)
+def _shared_lattice(penalties: AffinePenalties) -> ScoreLattice:
+    return ScoreLattice(penalties)

@@ -4,7 +4,8 @@ The co-design flow: the CPU parses the input and stages it in main
 memory, programs the accelerator's registers over AXI-Lite (backtrace
 enable, MAX_READ_LEN, DMA source/destination), writes Start, and waits —
 polling Idle or taking the completion interrupt.  The accelerator
-streams the image in over AXI-Full, aligns, and streams results out.
+streams the image in over AXI-Full, aligns, and streams results out;
+the CPU then reads the result region where it lies.
 
 :class:`WfasicDevice` is the "hardware" side binding a
 :class:`~repro.wfasic.WfasicAccelerator` to the register file, bus and
@@ -13,6 +14,8 @@ examples and benches program against.
 """
 
 from __future__ import annotations
+
+from contextlib import AbstractContextManager
 
 from ..wfasic.accelerator import BatchResult, WfasicAccelerator
 from ..wfasic.config import WfasicConfig
@@ -112,19 +115,22 @@ class WfasicDriver:
             self.poll_count += 1
         self.poll_count += 1  # the read that observed Idle
 
-    def result_stream(self) -> bytes:
-        """The raw result bytes the accelerator wrote to memory."""
+    def result_stream(self) -> AbstractContextManager[memoryview]:
+        """The result bytes the accelerator wrote, as a read-only view of
+        main memory valid inside a ``with`` block
+        (:meth:`MainMemory.view`): the CPU parses the region in place."""
         if self._dst_addr is None:
             raise DriverError("no batch configured")
         if not self._reg_read(Reg.STATUS_IDLE):
             raise DriverError("accelerator still busy")
         size = self._reg_read(Reg.DST_SIZE)
-        return self.memory.read(self._dst_addr, size)
+        return self.memory.view(self._dst_addr, size)
 
     def run(
         self, image: bytes, max_read_len: int, *, backtrace: bool, irq: bool = False
-    ) -> bytes:
-        """configure + start + wait + read, with a generous result region.
+    ) -> None:
+        """configure + start + wait, with a generous result region; read
+        the results with :meth:`result_stream`.
 
         Backtrace streams can dwarf the input (§4.1: ~10 MB per 10 kbp
         pair at 10 % error), so the result region takes all memory left
@@ -142,4 +148,3 @@ class WfasicDriver:
         )
         self.start()
         self.wait()
-        return self.result_stream()

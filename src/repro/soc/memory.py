@@ -8,12 +8,16 @@ and the WFAsic DMA (via AXI-Full).
 
 The bytes live in an anonymous ``mmap``: the OS hands out zero pages on
 first touch, so a 64 MB SoC costs resident memory only for the regions a
-batch actually writes or reads.
+batch actually writes or reads.  :meth:`MainMemory.read` copies a region
+out; :meth:`MainMemory.view` lends it in place for the span of a
+``with`` block, as the CPU reads a result region it owns.
 """
 
 from __future__ import annotations
 
 import mmap
+from contextlib import contextmanager
+from typing import Iterator
 
 __all__ = ["MemoryError_", "MainMemory"]
 
@@ -65,6 +69,22 @@ class MainMemory:
         self._check(addr, size)
         self.bytes_read += size
         return self._data[addr : addr + size]
+
+    @contextmanager
+    def view(self, addr: int, size: int) -> Iterator[memoryview]:
+        """A read-only view of ``size`` bytes at ``addr``, valid inside the
+        ``with`` block; counted in :attr:`bytes_read` like :meth:`read`.
+
+        The view is released when the block ends.  Arrays made from it
+        share its export of the memory, so none may outlive the block:
+        the memory stays exported (and cannot close) until they are gone.
+        """
+        self._check(addr, size)
+        self.bytes_read += size
+        with memoryview(self._data) as whole:
+            region = whole[addr : addr + size].toreadonly()
+        with region:
+            yield region
 
     def write(self, addr: int, data: bytes | bytearray) -> None:
         self._check(addr, len(data))

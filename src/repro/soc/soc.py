@@ -113,7 +113,7 @@ class Soc:
 
         self.memory.reset_allocator()
         accesses_before = self.driver.axi_lite.reads + self.driver.axi_lite.writes
-        stream = self.driver.run(image, max_read_len, backtrace=bt, irq=True)
+        self.driver.run(image, max_read_len, backtrace=bt, irq=True)
         batch = self.device.last_batch
         assert batch is not None
         # Cycle-stage counters (and, when tracing, the batch schedule on
@@ -125,12 +125,14 @@ class Soc:
             lane_prefix=trace_lane_prefix,
             base_cycle=trace_base_cycle,
         )
+        # The CPU parses the result region in place; nothing derived from
+        # the view outlives this block.
+        with self.driver.result_stream() as stream:
+            answers = batch_answers(batch, pairs, stream=stream, separate=separate)
         register_accesses = (
             self.driver.axi_lite.reads + self.driver.axi_lite.writes
         ) - accesses_before
         driver_cycles = self.cpu.driver_cycles(register_accesses)
-
-        answers = batch_answers(batch, pairs, stream=stream, separate=separate)
         cpu_bt_cycles = 0
         if answers.backtrace_work is not None:
             cpu_bt_cycles = self.cpu.backtrace_cycles(

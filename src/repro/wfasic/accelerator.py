@@ -170,7 +170,7 @@ def batch_answers(
     batch: BatchResult,
     pairs: Sequence[SequencePair],
     *,
-    stream: bytes | None = None,
+    stream: bytes | bytearray | memoryview | None = None,
     separate: bool | None = None,
 ) -> BatchAnswers:
     """Score, Success and CIGAR of every pair of a finished batch.
@@ -252,7 +252,7 @@ class WfasicAccelerator:
 
         # Result framing through the active Collector.
         if cfg.backtrace:
-            collector = CollectorBT()
+            collector = CollectorBT(cfg.bt_block_bytes)
             output = collector.interleave(runs, cfg.num_aligners)
         else:
             output = CollectorNBT().collect(runs)

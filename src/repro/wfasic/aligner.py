@@ -13,8 +13,9 @@ An Aligner runs the WFA loop of §2.3 under the hardware's constraints:
 * per step, the ``n_ps`` parallel sections process groups of consecutive
   cells in lockstep: Compute (Eq. 3, with 5-bit origin emission when
   backtrace is on) then Extend (16-base blocks),
-* origin codes are packed into 40-byte blocks in band order (§4.3.3) —
-  the payload the Collector BT later frames into memory transactions.
+* origin codes are packed into 40-byte blocks in band order (§4.3.3),
+  appended straight to one buffer per run — the payload the Collector
+  BT later frames into memory transactions.
 
 Cycle accounting composes :class:`ComputeStage` and :class:`ExtendStage`
 latencies with a per-alignment setup charge (reading the length words
@@ -34,7 +35,7 @@ from .compute import ComputeStage, ComputeTimings
 from .config import WfasicConfig
 from .extend import ExtendStage, ExtendTimings
 from .extractor import ExtractedJob
-from .packets import pack_origin_codes
+from .packets import pack_origin_blocks
 
 __all__ = ["AlignerTimings", "AlignerStats", "AlignerRun", "Aligner"]
 
@@ -73,8 +74,10 @@ class AlignerRun:
 
     ``score`` is only meaningful when ``success`` is set; ``k_reached``
     is the final diagonal (``len(b) - len(a)``) on success, or the last
-    attempted diagonal bound otherwise.  ``bt_blocks`` holds the 40-byte
-    origin blocks in emission order when backtrace is enabled.
+    attempted diagonal bound otherwise.  ``bt_payload`` holds the run's
+    origin blocks back to back in emission order when backtrace is
+    enabled, ``config.bt_block_bytes`` (40 at 64 PS) each; the Aligner
+    fills one ``bytearray``.
     """
 
     alignment_id: int
@@ -83,7 +86,7 @@ class AlignerRun:
     k_reached: int
     cycles: int
     stats: AlignerStats
-    bt_blocks: list[bytes] | None
+    bt_payload: bytes | bytearray | None
 
 
 class Aligner:
@@ -94,14 +97,14 @@ class Aligner:
     ) -> None:
         self.config = config
         self.timings = timings or AlignerTimings()
-        self._lattice = ScoreLattice(config.penalties)
+        self._lattice = ScoreLattice.of(config.penalties)
 
     # -- public API ------------------------------------------------------------
 
     def run(self, job: ExtractedJob) -> AlignerRun:
         """Align one extracted pair under the hardware constraints."""
         stats = AlignerStats()
-        bt: list[bytes] | None = [] if self.config.backtrace else None
+        bt = bytearray() if self.config.backtrace else None
 
         if not job.supported:
             # §4.2: the Aligner skips the pair; Success reports the failure.
@@ -112,7 +115,7 @@ class Aligner:
                 k_reached=0,
                 cycles=self.timings.setup_cycles,
                 stats=stats,
-                bt_blocks=bt,
+                bt_payload=bt,
             )
 
         a, b = job.seq_a, job.seq_b
@@ -132,7 +135,7 @@ class Aligner:
                 k_reached=0,
                 cycles=cycles,
                 stats=stats,
-                bt_blocks=bt,
+                bt_payload=bt,
             )
 
         aw = sequence_words(a, sentinel=_SENTINEL_A)
@@ -167,7 +170,7 @@ class Aligner:
                 k_reached=k_final,
                 cycles=cycles,
                 stats=stats,
-                bt_blocks=bt,
+                bt_payload=bt,
             )
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
@@ -187,7 +190,7 @@ class Aligner:
                     k_reached=k_final,
                     cycles=cycles,
                     stats=stats,
-                    bt_blocks=bt,
+                    bt_payload=bt,
                 )
 
             band = self._lattice.m_band(s)
@@ -228,7 +231,7 @@ class Aligner:
             stats.peak_band_width = max(stats.peak_band_width, width)
 
             if bt is not None:
-                bt.extend(pack_origin_codes(out.origins, n_ps))
+                bt.extend(pack_origin_blocks(out.origins, n_ps))
 
             ext, ext_cycles = extend.run(aw, bw, n, m, out.m, lo)
             cycles += ext_cycles
@@ -251,7 +254,7 @@ class Aligner:
                     k_reached=k_final,
                     cycles=cycles,
                     stats=stats,
-                    bt_blocks=bt,
+                    bt_payload=bt,
                 )
 
             # The hardware keeps only the recurrence window (circular

@@ -59,7 +59,7 @@ class RamAccurateAligner:
                 "the fast model's tests)"
             )
         self.config = config
-        self._lattice = ScoreLattice(config.penalties)
+        self._lattice = ScoreLattice.of(config.penalties)
         geo = wavefront_geometry(config)
         self._geo = geo
         n_ps = config.parallel_sections

@@ -112,7 +112,10 @@ def _counters_and_ids(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_bt_stream(
-    stream: bytes | bytearray, *, separate: bool, work: CpuBacktraceWork
+    stream: bytes | bytearray | memoryview,
+    *,
+    separate: bool,
+    work: CpuBacktraceWork,
 ) -> list[_ParsedAlignment]:
     """Demultiplex a raw BT stream into per-alignment payloads.
 
@@ -202,11 +205,10 @@ class StepIndex:
         n: int,
         m: int,
         s_final: int,
-        lattice: ScoreLattice | None = None,
     ) -> None:
         self.config = config
         self.n_ps = config.parallel_sections
-        lattice = lattice or ScoreLattice(config.penalties)
+        lattice = ScoreLattice.of(config.penalties)
         lo_clamp = max(-config.k_max, -n)
         hi_clamp = min(config.k_max, m)
         g = config.penalties.score_granularity
@@ -247,11 +249,10 @@ class CpuBacktracer:
 
     def __init__(self, config: WfasicConfig) -> None:
         self.config = config
-        self._lattice = ScoreLattice(config.penalties)
 
     def process(
         self,
-        stream: bytes | bytearray,
+        stream: bytes | bytearray | memoryview,
         sequences: dict[int, tuple[str, str]],
         *,
         separate: bool,
@@ -298,7 +299,7 @@ class CpuBacktracer:
         self, entry: _ParsedAlignment, a: str, b: str, work: CpuBacktraceWork
     ) -> Cigar:
         n, m = len(a), len(b)
-        index = StepIndex(self.config, n, m, entry.score, self._lattice)
+        index = StepIndex(self.config, n, m, entry.score)
         work.index_steps += index.num_steps
         expected_blocks = index.total_blocks
         block_bytes = self.config.bt_block_bytes

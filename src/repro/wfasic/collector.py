@@ -29,6 +29,7 @@ import numpy as np
 
 from .aligner import AlignerRun
 from .packets import (
+    BT_BLOCK_BYTES,
     BT_PAYLOAD_BYTES,
     SECTION_BYTES,
     NbtRecord,
@@ -94,9 +95,14 @@ class CollectorBT:
     """Backtrace-enabled collector: origin blocks -> 16-byte transactions.
 
     With the shipped 64 parallel sections each 40-byte block frames into
-    four transactions; other PS counts frame proportionally.  Every run
-    is framed straight into one buffer that becomes the stream.
+    four transactions; other PS counts frame proportionally
+    (``block_bytes`` is the configuration's
+    :attr:`~repro.wfasic.WfasicConfig.bt_block_bytes`).  Every run's
+    payload is framed straight into one buffer that becomes the stream.
     """
+
+    def __init__(self, block_bytes: int = BT_BLOCK_BYTES) -> None:
+        self.block_bytes = block_bytes
 
     def frame_run(self, run: AlignerRun) -> list[bytes]:
         """All transactions of one alignment, in stream order."""
@@ -125,7 +131,9 @@ class CollectorBT:
         if num_aligners == 1:
             return self.collect(runs)
         framed, starts = self._frame(runs)
-        order = self._round_robin(runs, starts, num_aligners)
+        order = self._round_robin(
+            starts, self.block_bytes // BT_PAYLOAD_BYTES, num_aligners
+        )
         stream = bytearray(len(framed))
         np.take(_rows(framed), order, axis=0, out=_rows(stream))
         return CollectorOutput(stream=stream)
@@ -137,15 +145,15 @@ class CollectorBT:
         ``starts[i]:starts[i + 1]``."""
         sizes = []
         for run in runs:
-            if run.bt_blocks is None:
+            if run.bt_payload is None:
                 raise ValueError("CollectorBT needs an Aligner run with backtrace data")
-            sizes.append(bt_transaction_count(run.bt_blocks, 0, run.alignment_id) + 1)
+            sizes.append(bt_transaction_count(run.bt_payload, 0, run.alignment_id) + 1)
         starts = list(accumulate(sizes, initial=0))
         stream = bytearray(starts[-1] * SECTION_BYTES)
         rows = _rows(stream)
         for run, lo, hi in zip(runs, starts, starts[1:]):
-            assert run.bt_blocks is not None
-            frame_bt_blocks(run.bt_blocks, 0, run.alignment_id, out=rows[lo : hi - 1])
+            assert run.bt_payload is not None
+            frame_bt_blocks(run.bt_payload, 0, run.alignment_id, out=rows[lo : hi - 1])
             rows[hi - 1] = np.frombuffer(
                 pack_bt_final_block(
                     run.success, run.k_reached, run.score, hi - 1 - lo, run.alignment_id
@@ -156,24 +164,20 @@ class CollectorBT:
 
     @staticmethod
     def _round_robin(
-        runs: list[AlignerRun], starts: list[int], num_aligners: int
+        starts: list[int], per_block: int, num_aligners: int
     ) -> np.ndarray:
         """Row order of the interleaved stream over the consecutive one.
 
         Each alignment in flight sends one block's worth of transactions
-        per turn; a finished alignment's place goes to the next one.
+        (``per_block``) per turn; a finished alignment's place goes to
+        the next one.
         """
 
-        def chunks(run: AlignerRun, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-            per_block = 1
-            if run.bt_blocks:
-                per_block = len(run.bt_blocks[0]) // BT_PAYLOAD_BYTES
+        def chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
             for row in range(lo, hi, per_block):
                 yield row, min(per_block, hi - row)
 
-        queue = deque(
-            chunks(run, lo, hi) for run, lo, hi in zip(runs, starts, starts[1:])
-        )
+        queue = deque(chunks(lo, hi) for lo, hi in zip(starts, starts[1:]))
         active = [queue.popleft() for _ in range(min(num_aligners, len(queue)))]
         firsts: list[int] = []
         lengths: list[int] = []

@@ -67,6 +67,7 @@ __all__ = [
     "unpack_bt_transaction",
     "pack_bt_final_block",
     "unpack_bt_final_payload",
+    "pack_origin_blocks",
     "pack_origin_codes",
     "unpack_origin_codes",
 ]
@@ -294,20 +295,21 @@ def split_transactions(stream: bytes) -> list[bytes]:
 
 
 def bt_transaction_count(
-    blocks: list[bytes], first_counter: int, alignment_id: int
+    payload: bytes | bytearray, first_counter: int, alignment_id: int
 ) -> int:
-    """Transactions :func:`frame_bt_blocks` makes of ``blocks``.
+    """Transactions :func:`frame_bt_blocks` makes of ``payload``.
 
-    Raises ``ValueError`` when a block is not a non-empty multiple of 10
-    bytes or a field overflows.
+    ``payload`` is one run's origin blocks back to back.  Raises
+    ``ValueError`` when its length is not a multiple of 10 bytes or a
+    field overflows.  An empty payload (a run that emitted no block)
+    makes no transaction.
     """
-    for size in set(map(len, blocks)):
-        if size == 0 or size % BT_PAYLOAD_BYTES:
-            raise ValueError(
-                f"backtrace block must be a non-empty multiple of "
-                f"{BT_PAYLOAD_BYTES} bytes, got {size}"
-            )
-    count = sum(map(len, blocks)) // BT_PAYLOAD_BYTES
+    if len(payload) % BT_PAYLOAD_BYTES:
+        raise ValueError(
+            f"backtrace payload must be a multiple of {BT_PAYLOAD_BYTES} "
+            f"bytes, got {len(payload)}"
+        )
+    count = len(payload) // BT_PAYLOAD_BYTES
     if not 0 <= first_counter <= 2**24 - count:
         raise ValueError("BT counter field is 24 bits")
     if not 0 <= alignment_id < 2**23:
@@ -316,28 +318,29 @@ def bt_transaction_count(
 
 
 def frame_bt_blocks(
-    blocks: list[bytes],
+    payload: bytes | bytearray,
     first_counter: int,
     alignment_id: int,
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Frame backtrace blocks as one ``(transactions, 16)`` uint8 array.
+    """Frame a run's origin blocks as one ``(transactions, 16)`` uint8 array.
 
-    The blocks' payload is cut into 10-byte pieces; row ``t`` holds piece
-    ``t``, the counter ``first_counter + t`` (uint24 LE) and the
-    alignment ID with the Last flag clear (uint24 LE) — every
-    transaction built at once.  The rows go to ``out`` when given (its
-    shape must match), else to a new array.  Raises ``ValueError`` as
+    ``payload`` (the blocks back to back) is cut into 10-byte pieces;
+    row ``t`` holds piece ``t``, the counter ``first_counter + t``
+    (uint24 LE) and the alignment ID with the Last flag clear (uint24
+    LE) — every transaction built at once, from one read-only view of
+    the payload.  The rows go to ``out`` when given (its shape must
+    match), else to a new array.  Raises ``ValueError`` as
     :func:`bt_transaction_count` does.
     """
-    count = bt_transaction_count(blocks, first_counter, alignment_id)
+    count = bt_transaction_count(payload, first_counter, alignment_id)
     if out is None:
         out = np.empty((count, SECTION_BYTES), dtype=np.uint8)
     elif out.shape != (count, SECTION_BYTES):
         raise ValueError(f"out must have shape ({count}, {SECTION_BYTES})")
-    payload = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    out[:, :BT_PAYLOAD_BYTES] = payload.reshape(count, BT_PAYLOAD_BYTES)
+    pieces = np.frombuffer(payload, dtype=np.uint8).reshape(count, BT_PAYLOAD_BYTES)
+    out[:, :BT_PAYLOAD_BYTES] = pieces
     counters = np.arange(first_counter, first_counter + count, dtype="<u4")
     out[:, 10:13] = counters.view(np.uint8).reshape(count, 4)[:, :3]
     out[:, 13:16] = np.frombuffer(alignment_id.to_bytes(3, "little"), dtype=np.uint8)
@@ -352,10 +355,13 @@ def pack_bt_block(
     §4.4: "we combine 10 bytes of the backtrace data with six bytes of
     information in one block of 16 bytes, and send each backtrace data in
     four memory transactions" — four for the shipped 64-PS / 40-byte
-    blocks; smaller parallel-section counts frame into fewer.
+    blocks; smaller parallel-section counts frame into fewer.  Raises
+    ``ValueError`` for an empty block.
     """
+    if not block:
+        raise ValueError("backtrace block must not be empty")
     return split_transactions(
-        frame_bt_blocks([block], first_counter, alignment_id).tobytes()
+        frame_bt_blocks(block, first_counter, alignment_id).tobytes()
     )
 
 
@@ -407,15 +413,17 @@ def unpack_bt_final_payload(payload: bytes) -> tuple[bool, int, int]:
 # --------------------------------------------------------------------------
 
 
-def pack_origin_codes(codes: np.ndarray, group_size: int = 64) -> list[bytes]:
-    """Pack 5-bit origin codes into 40-byte blocks of ``group_size`` cells.
+def pack_origin_blocks(codes: np.ndarray, group_size: int = 64) -> np.ndarray:
+    """Pack 5-bit origin codes into ``(groups, group_size * 5 // 8)`` bytes.
 
-    The last group of a frame column is zero-padded: code 0 is
-    ``ORIGIN_M_NONE``, which the CPU backtrace can never dereference.
-    Bit layout: cell ``t`` of a block occupies bits ``5t .. 5t+4``
-    (LSB-first), matching the hardware's concatenation order.  The whole
-    column is padded once, spread to ``(groups, group_size * 5)`` bits
-    and packed in one ``packbits`` call.
+    Row ``g`` is the block of cells ``g * group_size ..``; the rows back
+    to back are the frame column's backtrace payload.  The last group is
+    zero-padded: code 0 is ``ORIGIN_M_NONE``, which the CPU backtrace
+    can never dereference.  Bit layout: cell ``t`` of a block occupies
+    bits ``5t .. 5t+4`` (LSB-first), matching the hardware's
+    concatenation order.  The whole column is padded once, spread to
+    ``(groups, group_size * 5)`` bits and packed in one ``packbits``
+    call.
     """
     if (codes >= 32).any():
         raise ValueError("origin codes must fit in 5 bits")
@@ -426,9 +434,12 @@ def pack_origin_codes(codes: np.ndarray, group_size: int = 64) -> list[bytes]:
     packed = np.packbits(
         bits.reshape(groups, group_size * 5), axis=1, bitorder="little"
     )
-    block_bytes = group_size * 5 // 8
-    raw = packed[:, :block_bytes].tobytes()
-    return [raw[g * block_bytes : (g + 1) * block_bytes] for g in range(groups)]
+    return np.ascontiguousarray(packed[:, : group_size * 5 // 8])
+
+
+def pack_origin_codes(codes: np.ndarray, group_size: int = 64) -> list[bytes]:
+    """The blocks of :func:`pack_origin_blocks`, one ``bytes`` each."""
+    return [row.tobytes() for row in pack_origin_blocks(codes, group_size)]
 
 
 def unpack_origin_codes(block: bytes, group_size: int = 64) -> np.ndarray:

@@ -97,6 +97,41 @@ class TestSoundness:
             assert s % pen.score_granularity == 0
 
 
+class TestSharedLattice:
+    def test_one_lattice_per_penalties(self):
+        assert ScoreLattice.of(DEFAULT_PENALTIES) is ScoreLattice.of(
+            AffinePenalties(4, 6, 2)
+        )
+        assert ScoreLattice.of(DEFAULT_PENALTIES) is not ScoreLattice.of(
+            AffinePenalties(3, 5, 1)
+        )
+
+    def test_score_is_published_after_its_bands(self):
+        # A shared lattice may be read while another thread fills it:
+        # ``s in _m`` marks a score resolved, so its I and D bands must
+        # be stored before its M band.
+        writes = []
+
+        class Log(dict):
+            def __init__(self, name, items):
+                super().__init__(items)
+                self.name = name
+
+            def __setitem__(self, key, value):
+                writes.append((key, self.name))
+                super().__setitem__(key, value)
+
+        lat = ScoreLattice(DEFAULT_PENALTIES)
+        lat._m, lat._i, lat._d = (
+            Log(name, getattr(lat, name).items()) for name in ("_m", "_i", "_d")
+        )
+        lat.bands(400)
+        assert writes
+        for s in {key for key, _ in writes}:
+            order = [name for key, name in writes if key == s]
+            assert order[-1] == "_m" and sorted(order) == ["_d", "_i", "_m"]
+
+
 class TestBandOps:
     def test_shift_union_clamp(self):
         from repro.align import Band

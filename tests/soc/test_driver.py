@@ -30,9 +30,13 @@ class TestFullFlow:
     def test_polling_flow_produces_correct_scores(self):
         pairs, image, mrl = batch()
         _, dev, drv = setup_soc()
-        stream = drv.run(image, mrl, backtrace=False)
-        for i, pair in enumerate(pairs):
-            rec = unpack_nbt_record(stream[i * 4 : (i + 1) * 4])
+        drv.run(image, mrl, backtrace=False)
+        with drv.result_stream() as stream:
+            records = [
+                unpack_nbt_record(stream[i * 4 : (i + 1) * 4])
+                for i in range(len(pairs))
+            ]
+        for rec, pair in zip(records, pairs):
             assert rec.success
             assert rec.score == swg_align(pair.pattern, pair.text).score
         assert drv.poll_count >= 1
@@ -67,10 +71,11 @@ class TestFullFlow:
     def test_bt_register_controls_output_format(self):
         pairs, image, mrl = batch(n=2)
         _, dev, drv = setup_soc(backtrace=False)
-        stream_nbt = drv.run(image, mrl, backtrace=False)
+        drv.run(image, mrl, backtrace=False)
         mem2, dev2, drv2 = setup_soc(backtrace=True)
-        stream_bt = drv2.run(image, mrl, backtrace=True)
-        assert len(stream_bt) > len(stream_nbt)
+        drv2.run(image, mrl, backtrace=True)
+        with drv.result_stream() as stream_nbt, drv2.result_stream() as stream_bt:
+            assert len(stream_bt) > len(stream_nbt)
 
     def test_dst_size_register(self):
         pairs, image, mrl = batch(n=5)

@@ -34,6 +34,26 @@ class TestAccess:
         assert mem.bytes_written == 3
         assert mem.bytes_read == 2
 
+    def test_view_is_read_only_in_place_and_counted(self):
+        mem = MainMemory(1024)
+        mem.write(100, b"hello")
+        with mem.view(101, 3) as view:
+            assert view.readonly and view == b"ell"
+            mem.write(101, b"ELL")
+            assert view == b"ELL"  # in place, not a copy
+            with pytest.raises(TypeError):
+                view[0] = 0
+        assert mem.bytes_read == 3
+        with pytest.raises(ValueError):
+            len(view)  # released with the block
+
+    def test_out_of_range_view(self):
+        mem = MainMemory(64)
+        with pytest.raises(MemoryError_):
+            with mem.view(60, 8):
+                pass
+        assert mem.bytes_read == 0
+
 
 class TestAllocator:
     def test_alignment(self):

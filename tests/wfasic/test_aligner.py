@@ -2,12 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.align import AffinePenalties, swg_align
 from repro.wfasic import Aligner, WfasicConfig
 from repro.wfasic.extractor import Extractor
-from repro.wfasic.packets import encode_pair_record, round_up_read_len
+from repro.wfasic.packets import (
+    encode_pair_record,
+    round_up_read_len,
+    unpack_origin_codes,
+)
 from repro.workloads import make_input_set
 
 from tests.util import random_pair
@@ -146,8 +151,8 @@ class TestBacktraceEmission:
         a, b = random_pair(rng, 60, 0.2)
         on = Aligner(WfasicConfig.paper_default(backtrace=True)).run(job_for(a, b))
         off = Aligner(WfasicConfig.paper_default(backtrace=False)).run(job_for(a, b))
-        assert on.bt_blocks and all(len(blk) == 40 for blk in on.bt_blocks)
-        assert off.bt_blocks is None
+        assert on.bt_payload and len(on.bt_payload) % 40 == 0
+        assert off.bt_payload is None
 
     def test_block_count_matches_layout(self):
         from repro.wfasic import StepIndex
@@ -157,7 +162,39 @@ class TestBacktraceEmission:
         cfg = WfasicConfig.paper_default(backtrace=True)
         run = Aligner(cfg).run(job_for(a, b))
         index = StepIndex(cfg, len(a), len(b), run.score)
-        assert len(run.bt_blocks) == index.total_blocks
+        assert len(run.bt_payload) == cfg.bt_block_bytes * index.total_blocks
+
+    @pytest.mark.parametrize("n_ps", [16, 32, 64])
+    def test_payload_unpacks_to_each_steps_codes(self, monkeypatch, n_ps):
+        # Every step's codes, zero-padded to whole groups of n_ps cells,
+        # back to back: what the run's one buffer must unpack to.
+        import repro.wfasic.compute as compute
+
+        steps = []
+        kernel = compute.compute_kernel
+
+        def spy(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            steps.append(out.origins)
+            return out
+
+        monkeypatch.setattr(compute, "compute_kernel", spy)
+        rng = random.Random(70)
+        a, b = random_pair(rng, 150, 0.15)
+        cfg = WfasicConfig(parallel_sections=n_ps, backtrace=True)
+        payload = Aligner(cfg).run(job_for(a, b)).bt_payload
+        expected = np.concatenate(
+            [np.pad(c, (0, -len(c) % n_ps)) for c in steps]
+        )
+        block = cfg.bt_block_bytes
+        assert len(payload) == block * len(expected) // n_ps
+        unpacked = np.concatenate(
+            [
+                unpack_origin_codes(bytes(payload[i : i + block]), n_ps)
+                for i in range(0, len(payload), block)
+            ]
+        )
+        assert len(steps) > 10 and (unpacked == expected).all()
 
     def test_same_score_with_and_without_backtrace(self):
         rng = random.Random(69)

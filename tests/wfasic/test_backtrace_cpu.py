@@ -178,7 +178,7 @@ class TestStepIndex:
             a, b = random_pair(rng, rng.randint(30, 100), 0.2)
             run = Aligner(cfg).run(job_for(a, b))
             idx = StepIndex(cfg, len(a), len(b), run.score)
-            assert idx.total_blocks == len(run.bt_blocks)
+            assert idx.total_blocks * cfg.bt_block_bytes == len(run.bt_payload)
 
     def test_locate_bounds(self):
         cfg = WfasicConfig.paper_default(backtrace=True)

@@ -61,7 +61,7 @@ class TestCollectorBT:
         runs = make_runs(1, backtrace=True)
         txns = CollectorBT().frame_run(runs[0])
         # 4 transactions per 40-byte block plus the final score record.
-        assert len(txns) == 4 * len(runs[0].bt_blocks) + 1
+        assert len(txns) == 4 * (len(runs[0].bt_payload) // 40) + 1
         parsed = [unpack_bt_transaction(t) for t in txns]
         assert all(not p.last for p in parsed[:-1])
         assert parsed[-1].last
@@ -122,7 +122,7 @@ class TestCollectorBT:
             k_reached=0,
             cycles=0,
             stats=AlignerStats(),
-            bt_blocks=blocks,
+            bt_payload=b"".join(blocks),
         )
 
     def test_frame_run_rejects_23_bit_id_overflow(self):
@@ -130,12 +130,15 @@ class TestCollectorBT:
             CollectorBT().frame_run(self.run_with_blocks([bytes(40)], aid=2**23))
 
     def test_frame_run_rejects_24_bit_counter_overflow(self):
-        # 17 blocks of 2**20 transactions each: one past the 24-bit counter.
-        block = bytes(10 * 2**20)
+        # 17 x 2**20 transactions: 2**20 past the 24-bit counter.  One
+        # zero-filled payload (17 blocks of 10 MiB joined), not touched.
+        payload = bytes(17 * 10 * 2**20)
         with pytest.raises(ValueError, match="24 bits"):
-            CollectorBT().frame_run(self.run_with_blocks([block] * 17))
+            CollectorBT().frame_run(self.run_with_blocks([payload]))
 
-    @pytest.mark.parametrize("sizes", [[0], [13], [40, 15], [40, 5, 5]])
+    # A run's payload is one buffer, so only its total length can be
+    # wrong: an empty payload is a run without blocks (tested below).
+    @pytest.mark.parametrize("sizes", [[13], [40, 15], [40, 5], [5]])
     def test_frame_run_rejects_bad_block_size(self, sizes):
         blocks = [bytes(size) for size in sizes]
         with pytest.raises(ValueError, match="multiple of 10"):
@@ -147,7 +150,15 @@ class TestCollectorBT:
         final = unpack_bt_transaction(txns[0])
         assert final.last and final.counter == 0 and final.alignment_id == 5
 
+    def test_interleave_turn_is_one_configured_block(self):
+        # At 32 PS a block is 20 bytes: each alignment in flight sends two
+        # transactions per turn.
+        runs = make_runs(2, backtrace=True, n_ps=32, seed=84)
+        out = CollectorBT(block_bytes=20).interleave(runs, num_aligners=2)
+        ids = [unpack_bt_transaction(t).alignment_id for t in out.transactions]
+        assert ids[:8] == [0, 0, 1, 1, 0, 0, 1, 1]
+
     def test_32ps_blocks_two_transactions_each(self):
         runs = make_runs(1, backtrace=True, n_ps=32, seed=83)
         txns = CollectorBT().frame_run(runs[0])
-        assert len(txns) == 2 * len(runs[0].bt_blocks) + 1
+        assert len(txns) == 2 * (len(runs[0].bt_payload) // 20) + 1
