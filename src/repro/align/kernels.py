@@ -92,6 +92,44 @@ class ExtendOutput:
     comparisons: int  # total character comparisons (scalar-equivalent)
 
 
+def _origin_codes(
+    mwf: np.ndarray,
+    ins: np.ndarray,
+    dele: np.ndarray,
+    gap: np.ndarray,
+    i_e_km1: np.ndarray,
+    m_oe_km1: np.ndarray,
+    d_e_kp1: np.ndarray,
+    m_oe_kp1: np.ndarray,
+) -> np.ndarray:
+    """Each cell's 5-bit origin code; leaves ``max(mwf, gap)`` in ``mwf``.
+
+    ``mwf``/``ins``/``dele`` are the room-masked candidates and ``gap`` is
+    ``max(ins, dele)``.  The tie order is that of
+    :func:`repro.align.wfa.backtrace_wavefronts`: at M substitution beats
+    insertion beats deletion, at I and D extend beats open.  With
+    ``lt = mwf < gap`` (a gap wins) and ``live = M >= 0``, the M field is
+    ``lt * (1 + (ins < dele)) + live``: NONE 0, SUB 1, INS 2, DEL 3 (a
+    dead cell has no live candidate, so ``lt`` is false there too).
+    Every pass after the comparisons is an in-place uint8 add or
+    multiply.
+    """
+    codes = np.less(ins, dele).view(np.uint8)
+    codes += np.uint8(1)
+    flag = np.less(mwf, gap)
+    np.multiply(codes, flag, out=codes)
+    np.maximum(mwf, gap, out=mwf)
+    np.greater_equal(mwf, 0, out=flag)
+    np.add(codes, flag, out=codes)
+    ext = np.greater_equal(d_e_kp1, m_oe_kp1).view(np.uint8)
+    ext += ext
+    np.greater_equal(i_e_km1, m_oe_km1, out=flag)
+    np.add(ext, flag, out=ext)
+    ext *= np.uint8(ORIGIN_I_EXT_BIT)
+    codes += ext
+    return codes
+
+
 def compute_kernel(
     m_x: np.ndarray,
     m_oe_km1: np.ndarray,
@@ -103,6 +141,7 @@ def compute_kernel(
     m: int,
     *,
     emit_origins: bool = False,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ComputeOutput:
     """Eq. 3 for one frame column.
 
@@ -113,12 +152,16 @@ def compute_kernel(
 
     Dead cells — offset beyond the text end ``m``, row ``i = offset - k``
     beyond the pattern end ``n``, or no live source — are nulled *before*
-    the max so they can never shadow a live candidate.  ``m``, ``i`` and
-    ``d`` of the output are the rows of one stacked array, computed as
+    the max so they can never shadow a live candidate.  The new M, I and
+    D columns go to ``out`` (three int64 arrays of ``len(ks)`` cells that
+    overlap no input, e.g. slices of frame columns), or by default to the
+    rows of one new stacked array, computed as
     :func:`compute_kernel_batched` computes a batch row.
     """
-    mid = np.empty((3, len(ks)), dtype=np.int64)
-    mwf, ins, dele = mid
+    if out is None:
+        mwf, ins, dele = np.empty((3, len(ks)), dtype=np.int64)
+    else:
+        mwf, ins, dele = out
     np.add(m_x, 1, out=mwf)
     np.maximum(m_oe_km1, i_e_km1, out=ins)
     ins += 1
@@ -126,26 +169,22 @@ def compute_kernel(
 
     # A candidate lives iff ``0 <= offset < room``: within the text
     # (``offset <= m``) and the pattern (``offset - k <= n``).  Viewed as
-    # unsigned, one comparison checks both ends, for all three at once.
+    # unsigned, one comparison checks both ends.
     room = ks + (n + 1)
     np.minimum(room, m + 1, out=room)
     np.maximum(room, 0, out=room)
-    np.putmask(mid, mid.view(np.uint64) >= room.view(np.uint64), NULL_OFFSET)
+    room_u = room.view(np.uint64)
+    for cand in (mwf, ins, dele):
+        np.putmask(cand, cand.view(np.uint64) >= room_u, NULL_OFFSET)
 
     gap = np.maximum(ins, dele)
     origins: np.ndarray | None = None
     if emit_origins:
-        # Tie-breaking must mirror the backtrace preference order:
-        # substitution, then insertion, then deletion; and within I/D,
-        # extend over open.
-        origins = (ins < dele).view(np.uint8) + np.uint8(ORIGIN_M_INS)
-        np.putmask(origins, mwf >= gap, ORIGIN_M_SUB)
-    np.maximum(mwf, gap, out=mwf)
-    if origins is not None:
-        np.putmask(origins, mwf < 0, ORIGIN_M_NONE)
-        origins |= (i_e_km1 >= m_oe_km1).view(np.uint8) * np.uint8(ORIGIN_I_EXT_BIT)
-        origins |= (d_e_kp1 >= m_oe_kp1).view(np.uint8) * np.uint8(ORIGIN_D_EXT_BIT)
-
+        origins = _origin_codes(
+            mwf, ins, dele, gap, i_e_km1, m_oe_km1, d_e_kp1, m_oe_kp1
+        )
+    else:
+        np.maximum(mwf, gap, out=mwf)
     return ComputeOutput(m=mwf, i=ins, d=dele, origins=origins)
 
 
@@ -339,16 +378,11 @@ def compute_kernel_batched(
     gap = np.maximum(ins, dele)
     origins: np.ndarray | None = None
     if emit_origins:
-        # Codes come from the live (room-masked) candidates: deletion
-        # unless insertion ties or wins, substitution when it ties or
-        # wins, NONE where M stays NULL.
-        origins = (ins < dele).view(np.uint8) + np.uint8(ORIGIN_M_INS)
-        np.putmask(origins, mwf >= gap, ORIGIN_M_SUB)
-    np.maximum(mwf, gap, out=mwf)
-    if origins is not None:
-        np.putmask(origins, mwf < 0, ORIGIN_M_NONE)
-        origins |= (i_e_km1 >= m_oe_km1).view(np.uint8) * np.uint8(ORIGIN_I_EXT_BIT)
-        origins |= (d_e_kp1 >= m_oe_kp1).view(np.uint8) * np.uint8(ORIGIN_D_EXT_BIT)
+        origins = _origin_codes(
+            mwf, ins, dele, gap, i_e_km1, m_oe_km1, d_e_kp1, m_oe_kp1
+        )
+    else:
+        np.maximum(mwf, gap, out=mwf)
     live = mid.max(axis=2, initial=NULL_OFFSET) >= 0
     return BatchedComputeOutput(mid=mid, live=live, origins=origins)
 
@@ -494,31 +528,42 @@ def extend_kernel(
     lo: int,
     *,
     block: int = 16,
+    out: np.ndarray | None = None,
 ) -> ExtendOutput:
     """extend() for one frame column, comparing 8-byte words.
 
     ``a_words``/``b_words`` come from :func:`sequence_words` with distinct
     sentinels; build them once per alignment, not per call.  ``offsets``
     holds the pre-extension M offsets for diagonals
-    ``lo..lo+len(offsets)-1``; NULL cells are skipped.
+    ``lo..lo+len(offsets)-1``; NULL cells are skipped.  The extended
+    offsets go to ``out``, an int64 array of the same length that may be
+    ``offsets`` itself (default: a new array).
 
     Every live cell inside both sequences finds its match length ``L``
     one word at a time: the lowest set byte of ``a[i:i+8] ^ b[j:j+8]``
     ends the run, and a sentinel byte always differs, so no bounds
     checks are needed.  The Extend sub-module's work follows in closed
-    form.  It compares ``block`` bases per operation until one holds a
-    mismatch or a sequence end, so a cell costs
+    form.  It compares ``block`` bases per operation (a power of two)
+    until one holds a mismatch or a sequence end, so a cell costs
     ``(L + block - at_end) // block`` blocks, where ``at_end`` means the
     run stopped at ``n`` or ``m``.  ``matches`` is ``sum(L)`` and
     ``comparisons`` (scalar-equivalent) adds one discovery compare per
     cell that stopped on a mismatch inside both sequences.
     """
-    out = offsets.astype(np.int64, copy=True)
-    blocks = np.zeros(len(out), dtype=np.int64)
-    ks = np.arange(lo, lo + len(out), dtype=np.int64)
-    cells = np.flatnonzero((out >= 0) & (out < m) & (out - ks < n))
+    if out is None:
+        out = offsets.astype(np.int64, copy=True)
+    elif out is not offsets:
+        np.copyto(out, offsets)
+    width = len(out)
+    blocks = np.zeros(width, dtype=np.int64)
+    # Diagonal ``k`` ends at ``stop = min(m, k + n)``; a cell extends iff
+    # ``0 <= offset < stop``, one unsigned comparison.
+    stop = np.arange(lo + n, lo + n + width, dtype=np.int64)
+    np.minimum(stop, m, out=stop)
+    np.maximum(stop, 0, out=stop)
+    cells = np.flatnonzero(out.view(np.uint64) < stop.view(np.uint64))
     j0 = out[cells]
-    i0 = j0 - ks[cells]
+    i0 = j0 - (cells + lo)
 
     # ``run`` is the byte index of the first difference, or negative (to
     # be overwritten) for cells whose whole word matched; those go on.
@@ -533,12 +578,12 @@ def extend_kernel(
 
     end = j0 + run
     out[cells] = end
-    at_end = (end == m) | (i0 + run == n)
-    blocks[cells] = (run + block - at_end) // block
+    at_end = end == stop[cells]
+    blocks[cells] = (run + block - at_end) >> (block.bit_length() - 1)
     total_matches = int(run.sum(dtype=np.int64))
     return ExtendOutput(
         offsets=out,
         blocks=blocks,
         matches=total_matches,
-        comparisons=total_matches + len(cells) - int(at_end.sum()),
+        comparisons=total_matches + len(cells) - int(np.count_nonzero(at_end)),
     )

@@ -79,14 +79,16 @@ class Wavefront:
         return NULL_OFFSET
 
     def window(self, lo: int, hi: int) -> np.ndarray:
-        """Offsets for diagonals ``lo..hi`` padded with NULL outside range."""
-        out = np.full(hi - lo + 1, NULL_OFFSET, dtype=np.int64)
-        src_lo = max(lo, self.lo)
-        src_hi = min(hi, self.hi)
-        if src_lo <= src_hi:
-            out[src_lo - lo : src_hi - lo + 1] = self.offsets[
-                src_lo - self.lo : src_hi - self.lo + 1
-            ]
+        """Offsets for diagonals ``lo..hi`` padded with NULL outside range.
+
+        Each cell of the result is written once: the NULL head, the
+        stored diagonals, the NULL tail."""
+        out = np.empty(hi - lo + 1, dtype=np.int64)
+        head = min(max(self.lo - lo, 0), len(out))
+        tail = max(min(self.hi - lo + 1, len(out)), head)
+        out[:head] = NULL_OFFSET
+        out[head:tail] = self.offsets[head + lo - self.lo : tail + lo - self.lo]
+        out[tail:] = NULL_OFFSET
         return out
 
     @property

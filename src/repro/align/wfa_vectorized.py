@@ -109,17 +109,19 @@ class VectorizedWfaAligner:
             width = hi - lo + 1
             ks = np.arange(lo, hi + 1, dtype=np.int64)
 
-            def win(w: Wavefront | None, shift: int) -> np.ndarray:
+            def win(w: Wavefront | None, lo: int, hi: int) -> np.ndarray:
                 if w is None:
-                    return np.full(width, NULL_OFFSET, dtype=np.int64)
-                return w.window(lo + shift, hi + shift)
+                    return np.full(hi - lo + 1, NULL_OFFSET, dtype=np.int64)
+                return w.window(lo, hi)
 
+            # One M[s-o-e] window over lo-1..hi+1 serves both k-1 and k+1.
+            m_oe = win(src_moe, lo - 1, hi + 1)
             out = compute_kernel(
-                win(src_mx, 0),
-                win(src_moe, -1),
-                win(src_ie, -1),
-                win(src_moe, +1),
-                win(src_de, +1),
+                win(src_mx, lo, hi),
+                m_oe[:width],
+                win(src_ie, lo - 1, hi - 1),
+                m_oe[2:],
+                win(src_de, lo + 1, hi + 1),
                 ks,
                 n,
                 m,
@@ -129,7 +131,7 @@ class VectorizedWfaAligner:
             if not out.any_live:
                 continue
 
-            ext = extend_kernel(aw, bw, n, m, out.m, lo)
+            ext = extend_kernel(aw, bw, n, m, out.m, lo, out=out.m)
             work.extend_comparisons += ext.comparisons
             work.extend_matches += ext.matches
 

@@ -15,7 +15,13 @@ An Aligner runs the WFA loop of §2.3 under the hardware's constraints:
   backtrace is on) then Extend (16-base blocks),
 * origin codes are packed into 40-byte blocks in band order (§4.3.3),
   appended straight to one buffer per run — the payload the Collector
-  BT later frames into memory transactions.
+  BT later frames into memory transactions,
+* M, I and D live in fixed-slot frame columns with the geometry of
+  :func:`repro.wfasic.rams.wavefront_geometry` (the same columns the
+  :class:`~repro.wfasic.aligner_ram.RamAccurateAligner` routes through
+  its banked RAMs): each score rotates onto the slot ``score //
+  granularity`` and tags it, so every Eq. 3 source window is a slice of
+  a column and Compute and Extend write the frame column in place.
 
 Cycle accounting composes :class:`ComputeStage` and :class:`ExtendStage`
 latencies with a per-alignment setup charge (reading the length words
@@ -30,12 +36,13 @@ import numpy as np
 
 from ..align.kernels import sequence_words
 from ..align.lattice import ScoreLattice
-from ..align.wfa import NULL_OFFSET, Wavefront
+from ..align.wfa import NULL_OFFSET
 from .compute import ComputeStage, ComputeTimings
 from .config import WfasicConfig
 from .extend import ExtendStage, ExtendTimings
 from .extractor import ExtractedJob
 from .packets import pack_origin_blocks
+from .rams import wavefront_geometry
 
 __all__ = ["AlignerTimings", "AlignerStats", "AlignerRun", "Aligner"]
 
@@ -89,6 +96,48 @@ class AlignerRun:
     bt_payload: bytes | bytearray | None
 
 
+class _FrameColumns:
+    """One window's circular frame columns (§4.3.1), tagged with scores.
+
+    ``cols[slot, k + reach + 1]`` holds diagonal ``k`` of the score whose
+    tag the slot carries (``reach <= k_max``, see
+    :meth:`Aligner._frame_columns`); the first and last rows are never
+    written, so they read NULL like the duplicated edge banks of Fig. 6
+    and the ``k ± 1`` windows of a band reaching ``±reach`` stay slices.
+    A score whose slot carries another tag (skipped, or rotated out)
+    reads as an all-NULL column.
+    """
+
+    def __init__(self, count: int, granularity: int, null: np.ndarray) -> None:
+        self.cols = np.full((count, len(null)), NULL_OFFSET, dtype=np.int64)
+        self._null = null
+        self._granularity = granularity
+        self._tags: list[int | None] = [None] * count
+        #: Row range ``[start, stop)`` each slot last wrote.
+        self._spans = [(0, 0)] * count
+
+    def reset(self) -> None:
+        """Untag every slot: a new alignment starts with no wavefront."""
+        self._tags = [None] * len(self._tags)
+
+    def read(self, score: int) -> np.ndarray:
+        """The column of ``score``, or an all-NULL column."""
+        slot = (score // self._granularity) % len(self._tags)
+        return self.cols[slot] if self._tags[slot] == score else self._null
+
+    def rotate(self, score: int, start: int, stop: int) -> np.ndarray:
+        """Tag the slot of ``score`` and return its column, NULL outside
+        rows ``start..stop-1`` (the caller writes those)."""
+        slot = (score // self._granularity) % len(self._tags)
+        col = self.cols[slot]
+        old_start, old_stop = self._spans[slot]
+        col[old_start : min(start, old_stop)] = NULL_OFFSET
+        col[max(stop, old_start) : old_stop] = NULL_OFFSET
+        self._tags[slot] = score
+        self._spans[slot] = (start, stop)
+        return col
+
+
 class Aligner:
     """One Aligner module: ``n_ps`` parallel sections plus their RAMs."""
 
@@ -98,6 +147,33 @@ class Aligner:
         self.config = config
         self.timings = timings or AlignerTimings()
         self._lattice = ScoreLattice.of(config.penalties)
+        self._columns: tuple[_FrameColumns, _FrameColumns, _FrameColumns] | None = None
+        self._reach = -1
+
+    def _frame_columns(
+        self, reach: int
+    ) -> tuple[_FrameColumns, _FrameColumns, _FrameColumns]:
+        """The M, I and D frame columns over diagonals ``-reach..reach``.
+
+        A pair's bands never leave ``max(-k_max, -n)..min(k_max, m)``, so
+        the columns hold only the part of the ``2 k_max + 1`` slots the
+        longest pair so far can reach; they are allocated when a pair
+        reaches further and otherwise reused (untagged) by the next run.
+        """
+        if self._columns is None or reach > self._reach:
+            geo = wavefront_geometry(self.config)
+            g = self.config.penalties.score_granularity
+            # Read-only: the column of every score no slot holds.
+            null = np.full(2 * reach + 3, NULL_OFFSET, dtype=np.int64)
+            self._columns = (
+                _FrameColumns(geo.m_columns, g, null),
+                _FrameColumns(geo.id_columns, g, null),
+                _FrameColumns(geo.id_columns, g, null),
+            )
+            self._reach = reach
+        for columns in self._columns:
+            columns.reset()
+        return self._columns
 
     # -- public API ------------------------------------------------------------
 
@@ -146,22 +222,21 @@ class Aligner:
         )
         extend = ExtendStage(n_ps, timings=self.timings.extend)
 
-        M: dict[int, Wavefront] = {}
-        I: dict[int, Wavefront] = {}
-        D: dict[int, Wavefront] = {}
+        M, I, D = self._frame_columns(min(cfg.k_max, max(n, m)))
+        # Row of diagonal k in a frame column (row 0 is the NULL edge).
+        base = self._reach + 1
 
-        # Score 0: the initial M cell, extended.
-        wf0 = Wavefront(0, 0, np.zeros(1, dtype=np.int64))
-        ext, ext_cycles = extend.run(aw, bw, n, m, wf0.offsets, 0)
-        wf0.offsets[:] = ext.offsets
-        M[0] = wf0
+        # Score 0: the initial M cell, extended in place.
+        m0 = M.rotate(0, base, base + 1)[base : base + 1]
+        m0[0] = 0
+        ext, ext_cycles = extend.run(aw, bw, n, m, m0, 0, out=m0)
         cycles += ext_cycles + self.timings.compute.step_overhead
         stats.extend_cycles += ext_cycles
         stats.wavefront_steps += 1
         stats.peak_band_width = 1
         stats.extend_blocks += int(ext.blocks.sum())
         stats.extend_matches += ext.matches
-        if wf0.get(k_final) == m:
+        if k_final == 0 and m0[0] == m:
             cycles += self.timings.drain_cycles
             return AlignerRun(
                 alignment_id=job.alignment_id,
@@ -175,7 +250,7 @@ class Aligner:
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         step = p.score_granularity
-        window = p.max_window_span()
+        diagonals = np.arange(-base, base + 1, dtype=np.int64)
 
         s = 0
         while True:
@@ -206,23 +281,29 @@ class Aligner:
                 continue
             lo, hi = band.lo, band.hi
             width = hi - lo + 1
-            ks = np.arange(lo, hi + 1, dtype=np.int64)
+            start, stop = lo + base, hi + base + 1
 
-            def win(store: dict[int, Wavefront], score: int, shift: int) -> np.ndarray:
-                wf = store.get(score)
-                if wf is None:
-                    return np.full(width, NULL_OFFSET, dtype=np.int64)
-                return wf.window(lo + shift, hi + shift)
-
+            # Eq. 3's sources, read before the frame column rotates in:
+            # the s-o-e M column once for both k-1 and k+1 (Fig. 6).
+            m_x = M.read(s - x)
+            m_oe = M.read(s - oe)
+            i_e = I.read(s - e)
+            d_e = D.read(s - e)
+            m_new = M.rotate(s, start, stop)[start:stop]
             out, comp_cycles = compute.run(
-                win(M, s - x, 0),
-                win(M, s - oe, -1),
-                win(I, s - e, -1),
-                win(M, s - oe, +1),
-                win(D, s - e, +1),
-                ks,
+                m_x[start:stop],
+                m_oe[start - 1 : stop - 1],
+                i_e[start - 1 : stop - 1],
+                m_oe[start + 1 : stop + 1],
+                d_e[start + 1 : stop + 1],
+                diagonals[start:stop],
                 n,
                 m,
+                out=(
+                    m_new,
+                    I.rotate(s, start, stop)[start:stop],
+                    D.rotate(s, start, stop)[start:stop],
+                ),
             )
             cycles += comp_cycles
             stats.compute_cycles += comp_cycles
@@ -233,19 +314,13 @@ class Aligner:
             if bt is not None:
                 bt.extend(pack_origin_blocks(out.origins, n_ps))
 
-            ext, ext_cycles = extend.run(aw, bw, n, m, out.m, lo)
+            ext, ext_cycles = extend.run(aw, bw, n, m, m_new, lo, out=m_new)
             cycles += ext_cycles
             stats.extend_cycles += ext_cycles
             stats.extend_blocks += int(ext.blocks.sum())
             stats.extend_matches += ext.matches
 
-            M[s] = Wavefront(lo, hi, ext.offsets)
-            if (out.i >= 0).any():
-                I[s] = Wavefront(lo, hi, out.i)
-            if (out.d >= 0).any():
-                D[s] = Wavefront(lo, hi, out.d)
-
-            if M[s].get(k_final) == m:
+            if lo <= k_final <= hi and m_new[k_final - lo] == m:
                 cycles += self.timings.drain_cycles
                 return AlignerRun(
                     alignment_id=job.alignment_id,
@@ -256,10 +331,3 @@ class Aligner:
                     stats=stats,
                     bt_payload=bt,
                 )
-
-            # The hardware keeps only the recurrence window (circular
-            # frame-column rotation, §4.3.1); mirror that here.
-            horizon = s - window
-            for store in (M, I, D):
-                for key in [key for key in store if key < horizon]:
-                    del store[key]

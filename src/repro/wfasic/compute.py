@@ -66,8 +66,12 @@ class ComputeStage:
         ks: np.ndarray,
         n: int,
         m: int,
+        *,
+        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> tuple[ComputeOutput, int]:
-        """Compute one frame column; returns (kernel output, cycles)."""
+        """Compute one frame column; returns (kernel output, cycles).
+
+        ``out`` receives the new M, I and D cells, as in the kernel."""
         out = compute_kernel(
             m_x,
             m_oe_km1,
@@ -78,6 +82,7 @@ class ComputeStage:
             n,
             m,
             emit_origins=self.emit_origins,
+            out=out,
         )
         width = len(ks)
         n_groups = -(-width // self.group_size)

@@ -54,16 +54,12 @@ def group_latencies(
     even a group of boundary cells (zero blocks) spends the fill cycles
     computing start addresses and detecting the boundary.
     """
-    width = len(blocks)
-    if width == 0:
+    if len(blocks) == 0:
         return np.zeros(0, dtype=np.int64)
-    n_groups = -(-width // group_size)
-    padded = np.zeros(n_groups * group_size, dtype=np.int64)
-    padded[:width] = blocks
-    per_group = padded.reshape(n_groups, group_size).max(axis=1)
-    return timings.pipeline_fill + timings.cycles_per_block * np.maximum(
-        per_group, 1
-    )
+    starts = np.arange(0, len(blocks), group_size)
+    per_group = np.maximum.reduceat(blocks, starts)
+    np.maximum(per_group, 1, out=per_group)
+    return timings.pipeline_fill + timings.cycles_per_block * per_group
 
 
 class ExtendStage:
@@ -89,8 +85,13 @@ class ExtendStage:
         m: int,
         offsets: np.ndarray,
         lo: int,
+        *,
+        out: np.ndarray | None = None,
     ) -> tuple[ExtendOutput, int]:
-        """Extend one frame column; returns (kernel output, cycles)."""
-        out = extend_kernel(a_words, b_words, n, m, offsets, lo)
+        """Extend one frame column; returns (kernel output, cycles).
+
+        ``out`` is passed to the kernel: ``offsets`` itself extends the
+        column in place."""
+        out = extend_kernel(a_words, b_words, n, m, offsets, lo, out=out)
         cycles = int(group_latencies(out.blocks, self.group_size, self.timings).sum())
         return out, cycles

@@ -413,6 +413,10 @@ def unpack_bt_final_payload(payload: bytes) -> tuple[bool, int, int]:
 # --------------------------------------------------------------------------
 
 
+#: Weight of each of 8 consecutive 5-bit codes in their 40-bit word.
+_CODE_WEIGHTS = np.left_shift(np.uint64(1), 5 * np.arange(8, dtype=np.uint64))
+
+
 def pack_origin_blocks(codes: np.ndarray, group_size: int = 64) -> np.ndarray:
     """Pack 5-bit origin codes into ``(groups, group_size * 5 // 8)`` bytes.
 
@@ -421,20 +425,21 @@ def pack_origin_blocks(codes: np.ndarray, group_size: int = 64) -> np.ndarray:
     zero-padded: code 0 is ``ORIGIN_M_NONE``, which the CPU backtrace
     can never dereference.  Bit layout: cell ``t`` of a block occupies
     bits ``5t .. 5t+4`` (LSB-first), matching the hardware's
-    concatenation order.  The whole column is padded once, spread to
-    ``(groups, group_size * 5)`` bits and packed in one ``packbits``
-    call.
+    concatenation order.  So every 8 cells fill 5 whole bytes: one
+    product with the weights ``2**(5t)`` makes each 8-cell run a 40-bit
+    little-endian word, whose low 5 bytes are its part of the block.
+    ``group_size`` must be a multiple of 8.
     """
-    if (codes >= 32).any():
+    if group_size % 8:
+        raise ValueError("origin blocks hold a multiple of 8 codes")
+    if len(codes) and codes.max() >= 32:
         raise ValueError("origin codes must fit in 5 bits")
     groups = -(-len(codes) // group_size)
-    padded = np.zeros(groups * group_size, dtype=np.uint8)
+    padded = np.zeros(groups * group_size, dtype="<u8")
     padded[: len(codes)] = codes
-    bits = np.unpackbits(padded[:, None], axis=1, count=5, bitorder="little")
-    packed = np.packbits(
-        bits.reshape(groups, group_size * 5), axis=1, bitorder="little"
-    )
-    return np.ascontiguousarray(packed[:, : group_size * 5 // 8])
+    words = (padded.reshape(-1, 8) @ _CODE_WEIGHTS).astype("<u8", copy=False)
+    low = words.view(np.uint8).reshape(-1, 8)[:, :5]
+    return low.reshape(groups, group_size * 5 // 8)
 
 
 def pack_origin_codes(codes: np.ndarray, group_size: int = 64) -> list[bytes]:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.align import swg_align
+from repro.align.penalties import DEFAULT_PENALTIES, AffinePenalties
 from repro.align.wfa import WfaWorkCounters
 from repro.soc import Soc
 from repro.wfasic import WfasicAccelerator, WfasicConfig
@@ -230,3 +231,281 @@ class TestPaperSetGoldenRuns:
         cpu = soc.run_cpu(pairs)
         assert cpu.cycles == cpu_cycles
         assert cpu.work == work
+
+
+class TestEdgeConfigGoldenRuns:
+    """Bit-exact simulator output away from the paper's configuration.
+
+    The paper-default pins run ``k_max = 3998`` at 64 PS, where no band
+    ever reaches the edge rows of the wavefront vectors and every origin
+    block is 64 cells.  These pin the first two pairs of the 100 bp and
+    1 kbp 10 % sets with backtrace on at ``k_max`` 16, 64 and 512 (Eq. 6
+    stops the runs whose score passes ``2 k_max + 4``) and 16, 32 and 64
+    parallel sections (short packing groups).  Under (x, o, e) = (3, 2, 1)
+    the bands outgrow ``±k_max`` before Eq. 6 stops them, so the vector
+    edges clamp every late step.
+    """
+
+    # (set, k_max, parallel sections) -> (stream sha256, run cycles,
+    #     accelerator cycles, AlignerStats per run)
+    GOLDEN = {
+        ("100-10%", 16, 16): (
+            "7ba74167a4386320523d3690db9cf055dad884264865eb89b70ce72f5947f581",
+            [275, 271],
+            696,
+            [
+                AlignerStats(17, 768, 228, 168, 31, 104, 155),
+                AlignerStats(17, 768, 224, 131, 31, 104, 151),
+            ],
+        ),
+        ("100-10%", 16, 32): (
+            "f93d4e7f4a9a8356a80f087040afce57822d024319a8136d7ed4353a8ba0f491",
+            [203, 199],
+            552,
+            [
+                AlignerStats(17, 768, 228, 168, 31, 80, 107),
+                AlignerStats(17, 768, 224, 131, 31, 80, 103),
+            ],
+        ),
+        ("100-10%", 16, 64): (
+            "bcbf6f1662b8125bd17aeb55ef6cec2727297209b34adf95783cf2ee2eb69e48",
+            [203, 199],
+            552,
+            [
+                AlignerStats(17, 768, 228, 168, 31, 80, 107),
+                AlignerStats(17, 768, 224, 131, 31, 80, 103),
+            ],
+        ),
+        ("100-10%", 64, 16): (
+            "45b94878c29fc859c10ca9529c4591283e8e820ba5ad48dea166c796cdd22346",
+            [449, 996],
+            1595,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 170, 263),
+                AlignerStats(37, 3888, 1222, 569, 71, 372, 608),
+            ],
+        ),
+        ("100-10%", 64, 32): (
+            "7b405cd895f0daefe7a1ae993794adb11e5d95678ce84b5c8fdaa5955fe6fa02",
+            [323, 636],
+            1109,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 128, 179),
+                AlignerStats(37, 3888, 1222, 569, 71, 252, 368),
+            ],
+        ),
+        ("100-10%", 64, 64): (
+            "4f372c8d5f293fdf1a4c687f8165b8ce552948fef4c72ed96767036d227c3482",
+            [269, 456],
+            875,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 110, 143),
+                AlignerStats(37, 3888, 1222, 569, 71, 192, 248),
+            ],
+        ),
+        ("100-10%", 512, 16): (
+            "45b94878c29fc859c10ca9529c4591283e8e820ba5ad48dea166c796cdd22346",
+            [449, 996],
+            1595,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 170, 263),
+                AlignerStats(37, 3888, 1222, 569, 71, 372, 608),
+            ],
+        ),
+        ("100-10%", 512, 32): (
+            "7b405cd895f0daefe7a1ae993794adb11e5d95678ce84b5c8fdaa5955fe6fa02",
+            [323, 636],
+            1109,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 128, 179),
+                AlignerStats(37, 3888, 1222, 569, 71, 252, 368),
+            ],
+        ),
+        ("100-10%", 512, 64): (
+            "4f372c8d5f293fdf1a4c687f8165b8ce552948fef4c72ed96767036d227c3482",
+            [269, 456],
+            875,
+            [
+                AlignerStats(23, 1452, 444, 279, 43, 110, 143),
+                AlignerStats(37, 3888, 1222, 569, 71, 192, 248),
+            ],
+        ),
+        ("1K-10%", 16, 16): (
+            "ec30be9c27cc4d08dd8b93dff0a1f0d9f519e59dcf594260cdeeab25d751418a",
+            [270, 270],
+            1306,
+            [
+                AlignerStats(17, 768, 223, 128, 31, 104, 150),
+                AlignerStats(17, 768, 223, 165, 31, 104, 150),
+            ],
+        ),
+        ("1K-10%", 16, 32): (
+            "c44d5c663b37bedbcf9060ec1693af8aaad8b05b47abbec23cc93a21c4167a5f",
+            [198, 198],
+            1162,
+            [
+                AlignerStats(17, 768, 223, 128, 31, 80, 102),
+                AlignerStats(17, 768, 223, 165, 31, 80, 102),
+            ],
+        ),
+        ("1K-10%", 16, 64): (
+            "f2aa91ac00c68ab5b42ae7b2a672b342e51e62451a4b1d341524b13c82713d6c",
+            [198, 198],
+            1162,
+            [
+                AlignerStats(17, 768, 223, 128, 31, 80, 102),
+                AlignerStats(17, 768, 223, 165, 31, 80, 102),
+            ],
+        ),
+        ("1K-10%", 64, 16): (
+            "9581f45d4de469a5ee58a8847b533872ed5c26b89a5eb574688473c16f6034d6",
+            [2752, 2753],
+            6271,
+            [
+                AlignerStats(65, 12288, 3977, 1564, 127, 992, 1744),
+                AlignerStats(65, 12288, 3978, 1957, 127, 992, 1745),
+            ],
+        ),
+        ("1K-10%", 64, 32): (
+            "3576aa9b3eb53a0a71f0706a523680cbe80ccc919e4e128c17c97f418be5aa2c",
+            [1600, 1601],
+            3967,
+            [
+                AlignerStats(65, 12288, 3977, 1564, 127, 608, 976),
+                AlignerStats(65, 12288, 3978, 1957, 127, 608, 977),
+            ],
+        ),
+        ("1K-10%", 64, 64): (
+            "e2fab5ef9280027918bae5981ddf2f88367c4ec10d6449076626dcfc9e5466e9",
+            [1024, 1025],
+            2815,
+            [
+                AlignerStats(65, 12288, 3977, 1564, 127, 416, 592),
+                AlignerStats(65, 12288, 3978, 1957, 127, 416, 593),
+            ],
+        ),
+        ("1K-10%", 512, 16): (
+            "37eb87d27347d4670d450c41852bf3199868d9c44f36d6087f6aa0c993f02321",
+            [67697, 55789],
+            124252,
+            [
+                AlignerStats(342, 348843, 115640, 40032, 681, 22999, 44682),
+                AlignerStats(310, 286443, 94904, 33769, 617, 18987, 36786),
+            ],
+        ),
+        ("1K-10%", 512, 32): (
+            "555c1c44f03e4f14db3599eed74f40aea3e90c8e8a5eb2b7d9cf9bad2bfba5ad",
+            [35000, 28942],
+            64708,
+            [
+                AlignerStats(342, 348843, 115640, 40032, 681, 12100, 22884),
+                AlignerStats(310, 286443, 94904, 33769, 617, 10038, 18888),
+            ],
+        ),
+        ("1K-10%", 512, 64): (
+            "c0a2ee0c4dc380b6d285d2f6f0a3ac3e3efa9ca661331857fddf11c97f12f111",
+            [18665, 15532],
+            40062,
+            [
+                AlignerStats(342, 348843, 115640, 40032, 681, 6655, 11994),
+                AlignerStats(310, 286443, 94904, 33769, 617, 5568, 9948),
+            ],
+        ),
+    }
+
+    # The same at (x, o, e) = (3, 2, 1): bands clamped at ±k_max.
+    GOLDEN_CLAMPED = {
+        ("100-10%", 16, 16): (
+            "92c003cd86ff6812822b6b7041096d2c7c7ba8c020b4a717b4f18be9561ae0d3",
+            [380, 726],
+            1256,
+            [
+                AlignerStats(20, 1161, 354, 251, 33, 143, 221),
+                AlignerStats(32, 2349, 743, 480, 33, 275, 435),
+            ],
+        ),
+        ("100-10%", 16, 64): (
+            "a0c861b4b6edbb172ad4433faf296820f39cefe687bab265b048196396c81405",
+            [236, 366],
+            752,
+            [
+                AlignerStats(20, 1161, 354, 251, 33, 95, 125),
+                AlignerStats(32, 2349, 743, 480, 33, 155, 195),
+            ],
+        ),
+        ("100-10%", 64, 16): (
+            "11aafd81898b3d7d3b994432064d0b2a5a4cbade6ec259e16445bce3cf459d0e",
+            [380, 798],
+            1328,
+            [
+                AlignerStats(20, 1197, 362, 252, 39, 143, 221),
+                AlignerStats(32, 3069, 955, 569, 63, 299, 483),
+            ],
+        ),
+        ("100-10%", 64, 64): (
+            "0417651f41150e5def6650e98d539c9fe9b4c1341a789b66606ff4e6a1655500",
+            [236, 366],
+            752,
+            [
+                AlignerStats(20, 1197, 362, 252, 39, 95, 125),
+                AlignerStats(32, 3069, 955, 569, 63, 155, 195),
+            ],
+        ),
+        ("1K-10%", 16, 16): (
+            "9543a192c597b7f71ea3178e52ba34cb684a72b33c202fb67bf7d5da8436a07f",
+            [822, 815],
+            2403,
+            [
+                AlignerStats(35, 2646, 856, 576, 33, 308, 498),
+                AlignerStats(35, 2646, 849, 690, 33, 308, 491),
+            ],
+        ),
+        ("1K-10%", 16, 64): (
+            "331045cfb084439259efdb91eaa712acbf97875526c43463abe2dac3b771a2c0",
+            [408, 401],
+            1575,
+            [
+                AlignerStats(35, 2646, 856, 576, 33, 170, 222),
+                AlignerStats(35, 2646, 849, 690, 33, 170, 215),
+            ],
+        ),
+        ("1K-10%", 64, 16): (
+            "40bcd39a5c63ecaefd9589fbe714accaf20753e977966fae9934b0e90389635f",
+            [8313, 8318],
+            17397,
+            [
+                AlignerStats(131, 38214, 12625, 5026, 129, 2930, 5367),
+                AlignerStats(131, 38214, 12630, 5538, 129, 2930, 5372),
+            ],
+        ),
+        ("1K-10%", 64, 64): (
+            "8ca819f48476e8173791e5d85fd69eecd8cb1bdce4bd0c7203dcc67c523d6dec",
+            [2967, 2972],
+            6705,
+            [
+                AlignerStats(131, 38214, 12625, 5026, 129, 1148, 1803),
+                AlignerStats(131, 38214, 12630, 5538, 129, 1148, 1808),
+            ],
+        ),
+    }
+
+    @staticmethod
+    def check(pins, name, k_max, ps, penalties):
+        digest, run_cycles, accel_cycles, stats = pins[name, k_max, ps]
+        config = WfasicConfig(
+            parallel_sections=ps, k_max=k_max, backtrace=True, penalties=penalties
+        )
+        out = Soc(config).run_accelerated(make_input_set(name, 2), backtrace=True)
+        runs = sorted(out.batch.runs, key=lambda r: r.alignment_id)
+        assert hashlib.sha256(out.batch.output.as_stream()).hexdigest() == digest
+        assert [r.cycles for r in runs] == run_cycles
+        assert out.accelerator_cycles == accel_cycles
+        assert [r.stats for r in runs] == stats
+
+    @pytest.mark.parametrize("name, k_max, ps", list(GOLDEN))
+    def test_default_penalties(self, name, k_max, ps):
+        self.check(self.GOLDEN, name, k_max, ps, DEFAULT_PENALTIES)
+
+    @pytest.mark.parametrize("name, k_max, ps", list(GOLDEN_CLAMPED))
+    def test_bands_clamped_at_k_max(self, name, k_max, ps):
+        self.check(self.GOLDEN_CLAMPED, name, k_max, ps, AffinePenalties(3, 2, 1))

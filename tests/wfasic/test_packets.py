@@ -18,6 +18,7 @@ from repro.wfasic.packets import (
     pack_bt_block,
     pack_bt_final_block,
     pack_nbt_record,
+    pack_origin_blocks,
     pack_origin_codes,
     pair_record_sections,
     round_up_read_len,
@@ -224,6 +225,30 @@ class TestOriginPacking:
                 value |= code << (5 * t)
             expected.append(value.to_bytes(40, "little"))
         assert pack_origin_codes(codes, 64) == expected
+
+    @pytest.mark.parametrize("group", [16, 32, 64])
+    def test_blocks_match_bit_by_bit_reference(self, group):
+        rng = np.random.default_rng(group)
+        for width in (0, 1, group - 1, group, group + 1, 7 * group + 3):
+            codes = rng.integers(0, 32, width).astype(np.uint8)
+            groups = -(-width // group)
+            bits = np.zeros(groups * group * 5, dtype=np.uint8)
+            for t, code in enumerate(codes.tolist()):
+                for b in range(5):
+                    bits[5 * t + b] = (code >> b) & 1
+            expected = np.packbits(bits, bitorder="little").reshape(
+                groups, group * 5 // 8
+            )
+            got = pack_origin_blocks(codes, group)
+            assert got.shape == expected.shape, (group, width)
+            assert (got == expected).all(), (group, width)
+
+    @pytest.mark.parametrize("group", [16, 32, 64])
+    def test_blocks_reject_codes_past_5_bits(self, group):
+        codes = np.zeros(group + 1, dtype=np.uint8)
+        codes[-1] = 32
+        with pytest.raises(ValueError):
+            pack_origin_blocks(codes, group)
 
     @given(
         codes=st.lists(st.integers(min_value=0, max_value=31), min_size=0, max_size=200)
