@@ -244,7 +244,6 @@ class WfasicAccelerator:
         # schedule then places the runs on the hardware Aligners.
         aligner = Aligner(cfg, self.aligner_timings)
         runs = [aligner.run(job) for job in jobs]
-        del aligner  # free its frame columns before the stream is framed
         schedule = schedule_alignments(
             read_cycles,
             [(run.alignment_id, run.cycles) for run in runs],

@@ -100,11 +100,13 @@ class _FrameColumns:
     """One window's circular frame columns (§4.3.1), tagged with scores.
 
     ``cols[slot, k + reach + 1]`` holds diagonal ``k`` of the score whose
-    tag the slot carries (``reach <= k_max``, see
-    :meth:`Aligner._frame_columns`); the first and last rows are never
-    written, so they read NULL like the duplicated edge banks of Fig. 6
-    and the ``k ± 1`` windows of a band reaching ``±reach`` stay slices.
-    A score whose slot carries another tag (skipped, or rotated out)
+    tag the slot carries.  A pair's bands never leave
+    ``max(-k_max, -n)..min(k_max, m)``, so a run's columns cover only
+    ``reach = min(k_max, max(n, m))`` diagonals each side of the
+    ``2 k_max + 1`` slots.  The first and last rows are never written,
+    so they read NULL like the duplicated edge banks of Fig. 6 and the
+    ``k ± 1`` windows of a band reaching ``±reach`` stay slices.  A
+    score whose slot carries another tag (skipped, or rotated out)
     reads as an all-NULL column.
     """
 
@@ -115,10 +117,6 @@ class _FrameColumns:
         self._tags: list[int | None] = [None] * count
         #: Row range ``[start, stop)`` each slot last wrote.
         self._spans = [(0, 0)] * count
-
-    def reset(self) -> None:
-        """Untag every slot: a new alignment starts with no wavefront."""
-        self._tags = [None] * len(self._tags)
 
     def read(self, score: int) -> np.ndarray:
         """The column of ``score``, or an all-NULL column."""
@@ -147,33 +145,6 @@ class Aligner:
         self.config = config
         self.timings = timings or AlignerTimings()
         self._lattice = ScoreLattice.of(config.penalties)
-        self._columns: tuple[_FrameColumns, _FrameColumns, _FrameColumns] | None = None
-        self._reach = -1
-
-    def _frame_columns(
-        self, reach: int
-    ) -> tuple[_FrameColumns, _FrameColumns, _FrameColumns]:
-        """The M, I and D frame columns over diagonals ``-reach..reach``.
-
-        A pair's bands never leave ``max(-k_max, -n)..min(k_max, m)``, so
-        the columns hold only the part of the ``2 k_max + 1`` slots the
-        longest pair so far can reach; they are allocated when a pair
-        reaches further and otherwise reused (untagged) by the next run.
-        """
-        if self._columns is None or reach > self._reach:
-            geo = wavefront_geometry(self.config)
-            g = self.config.penalties.score_granularity
-            # Read-only: the column of every score no slot holds.
-            null = np.full(2 * reach + 3, NULL_OFFSET, dtype=np.int64)
-            self._columns = (
-                _FrameColumns(geo.m_columns, g, null),
-                _FrameColumns(geo.id_columns, g, null),
-                _FrameColumns(geo.id_columns, g, null),
-            )
-            self._reach = reach
-        for columns in self._columns:
-            columns.reset()
-        return self._columns
 
     # -- public API ------------------------------------------------------------
 
@@ -222,9 +193,15 @@ class Aligner:
         )
         extend = ExtendStage(n_ps, timings=self.timings.extend)
 
-        M, I, D = self._frame_columns(min(cfg.k_max, max(n, m)))
+        reach = min(cfg.k_max, max(n, m))
+        geo = wavefront_geometry(cfg)
+        # Read-only: the column of every score no slot holds.
+        null = np.full(2 * reach + 3, NULL_OFFSET, dtype=np.int64)
+        M = _FrameColumns(geo.m_columns, p.score_granularity, null)
+        I = _FrameColumns(geo.id_columns, p.score_granularity, null)
+        D = _FrameColumns(geo.id_columns, p.score_granularity, null)
         # Row of diagonal k in a frame column (row 0 is the NULL edge).
-        base = self._reach + 1
+        base = reach + 1
 
         # Score 0: the initial M cell, extended in place.
         m0 = M.rotate(0, base, base + 1)[base : base + 1]

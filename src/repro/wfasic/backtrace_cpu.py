@@ -103,12 +103,61 @@ class _ParsedAlignment:
     payload: np.ndarray
 
 
+#: Rows the no-separation scan checks per pass; bounds its temporaries.
+_SCAN_ROWS = 1 << 15
+
+_LAST_FLAG = 1 << 31
+
+
 def _counters_and_ids(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 24-bit counter and 23-bit alignment ID of each transaction from
     its bytes 8..15 read as two little-endian uint32 words."""
     counters = (words[:, 0] >> 16) | ((words[:, 1] & 0xFF) << 16)
     ids = (words[:, 1] >> 8) & 0x7FFFFF
     return counters, ids
+
+
+def _last_rows(words: np.ndarray) -> list[int]:
+    """Rows whose Last flag is set, found ``_SCAN_ROWS`` rows at a time."""
+    rows: list[int] = []
+    for lo in range(0, len(words), _SCAN_ROWS):
+        hits = np.flatnonzero(words[lo : lo + _SCAN_ROWS, 1] >= _LAST_FLAG)
+        rows.extend((hits + lo).tolist())
+    return rows
+
+
+def _check_run(words: np.ndarray) -> tuple[int, bool]:
+    """Check one consecutive alignment (its Last row last) in place.
+
+    Every row must carry the Last row's ID, and the Last row must hold
+    the strictly largest counter.  Returns the ID and whether the
+    counters already increase.  The fields are decoded ``_SCAN_ROWS``
+    rows at a time, so no widened copy spans the whole alignment.
+    """
+    counters, ids = _counters_and_ids(words[-1:])
+    aid, last_counter = int(ids[0]), int(counters[0])
+    malformed = False
+    ordered = True
+    prev = -1
+    n = len(words)
+    for lo in range(0, n, _SCAN_ROWS):
+        counters, ids = _counters_and_ids(words[lo : lo + _SCAN_ROWS])
+        if not (ids == aid).all():
+            raise BacktraceStreamError(
+                "interleaved stream passed to the no-separation method"
+            )
+        # Counters before the Last row: all strictly below its counter.
+        before = counters[: n - 1 - lo]
+        if before.size and int(before.max()) >= last_counter:
+            malformed = True
+        if ordered:
+            ordered = int(counters[0]) >= prev and bool(
+                (counters[1:] >= counters[:-1]).all()
+            )
+            prev = int(counters[-1])
+    if malformed:
+        raise BacktraceStreamError(f"alignment {aid}: malformed Last-flag structure")
+    return aid, ordered
 
 
 def parse_bt_stream(
@@ -136,20 +185,10 @@ def parse_bt_stream(
         return []
     # Bytes 8..15: counter in bits 16..39, ID in bits 40..62, Last bit 63.
     words = raw[:, 8:].view("<u4")
-    last = words[:, 1] >= 1 << 31
 
     out: list[_ParsedAlignment] = []
 
-    def finish(
-        aid: int, rows: slice | np.ndarray, counters: np.ndarray, sub_last: np.ndarray
-    ) -> None:
-        if int(sub_last.sum()) != 1 or not sub_last[np.argmax(counters)]:
-            raise BacktraceStreamError(
-                f"alignment {aid}: malformed Last-flag structure"
-            )
-        payload = raw[rows, :BT_PAYLOAD_BYTES]
-        if not (counters[1:] >= counters[:-1]).all():
-            payload = payload[np.argsort(counters, kind="stable")]
+    def finish(aid: int, payload: np.ndarray) -> None:
         success, k_reached, score = unpack_bt_final_payload(payload[-1].tobytes())
         out.append(
             _ParsedAlignment(
@@ -164,27 +203,38 @@ def parse_bt_stream(
     if separate:
         # Data separation: move every alignment's payload bytes together.
         counters, ids = _counters_and_ids(words)
+        last = words[:, 1] >= _LAST_FLAG
         order = np.argsort(ids, kind="stable")
         boundaries = np.flatnonzero(np.diff(ids[order])) + 1
         for idxs in np.split(order, boundaries):
             aid = int(ids[idxs[0]])
             work.separation_bytes += len(idxs) * BT_PAYLOAD_BYTES
-            finish(aid, idxs, counters[idxs], last[idxs])
+            sub_counters, sub_last = counters[idxs], last[idxs]
+            if int(sub_last.sum()) != 1 or not sub_last[np.argmax(sub_counters)]:
+                raise BacktraceStreamError(
+                    f"alignment {aid}: malformed Last-flag structure"
+                )
+            payload = raw[idxs, :BT_PAYLOAD_BYTES]
+            if not (sub_counters[1:] >= sub_counters[:-1]).all():
+                payload = payload[np.argsort(sub_counters, kind="stable")]
+            finish(aid, payload)
         # Preserve completion order (order of Last transactions).
         finish_order = {int(ids[i]): pos for pos, i in enumerate(np.flatnonzero(last))}
         out.sort(key=lambda p: finish_order.get(p.alignment_id, 0))
     else:
         # No separation: alignments are consecutive; split at Last flags.
+        # Each alignment is checked on the stream's own words and its
+        # payload is a slice of the stream unless its counters are out of
+        # order.
         start = 0
-        for end in np.flatnonzero(last).tolist():
+        for end in _last_rows(words):
             rows = slice(start, end + 1)
-            counters, ids = _counters_and_ids(words[rows])
-            aid = int(ids[-1])
-            if not (ids == aid).all():
-                raise BacktraceStreamError(
-                    "interleaved stream passed to the no-separation method"
-                )
-            finish(aid, rows, counters, last[rows])
+            aid, ordered = _check_run(words[rows])
+            payload = raw[rows, :BT_PAYLOAD_BYTES]
+            if not ordered:
+                counters, _ = _counters_and_ids(words[rows])
+                payload = payload[np.argsort(counters, kind="stable")]
+            finish(aid, payload)
             start = end + 1
         if start != n_txn:
             raise BacktraceStreamError("trailing transactions without a Last flag")

@@ -13,6 +13,7 @@ from repro.wfasic import (
     StepIndex,
     WfasicConfig,
 )
+from repro.wfasic import backtrace_cpu
 from repro.wfasic.backtrace_cpu import CpuBacktraceWork, parse_bt_stream
 
 from tests.util import assert_valid_cigar, random_pair
@@ -168,6 +169,61 @@ class TestStreamValidation:
         results, work = CpuBacktracer(cfg).process(b"", {}, separate=False)
         assert results == []
         assert work.transactions_scanned == 0
+
+
+def _parse(stream):
+    parsed = parse_bt_stream(stream, separate=False, work=CpuBacktraceWork())
+    return [(p.alignment_id, p.score, p.payload.tobytes()) for p in parsed]
+
+
+class TestNoSeparationScan:
+    """The no-separation parse checks IDs and counter order on the
+    stream's own words, a bounded number of rows at a time."""
+
+    @pytest.fixture
+    def stream(self):
+        rng = random.Random(98)
+        cfg = WfasicConfig.paper_default(backtrace=True)
+        pairs = [random_pair(rng, rng.randint(60, 120), 0.2) for _ in range(3)]
+        return bytes(CollectorBT().collect(run_batch(pairs, cfg)).as_stream())
+
+    @staticmethod
+    def _swap(stream, i, j):
+        rows = bytearray(stream)
+        ri, rj = rows[16 * i : 16 * i + 16], rows[16 * j : 16 * j + 16]
+        rows[16 * i : 16 * i + 16], rows[16 * j : 16 * j + 16] = rj, ri
+        return bytes(rows)
+
+    @pytest.mark.parametrize("scan_rows", [1, 2, 3, 1 << 15])
+    def test_scan_width_does_not_change_the_parse(self, stream, monkeypatch, scan_rows):
+        expected = _parse(stream)
+        shuffled = self._swap(stream, 1, 4)
+        expected_shuffled = _parse(shuffled)
+        monkeypatch.setattr(backtrace_cpu, "_SCAN_ROWS", scan_rows)
+        assert _parse(stream) == expected
+        assert _parse(shuffled) == expected_shuffled
+
+    @pytest.mark.parametrize("scan_rows", [2, 1 << 15])
+    def test_out_of_order_counters_are_reordered(self, stream, monkeypatch, scan_rows):
+        monkeypatch.setattr(backtrace_cpu, "_SCAN_ROWS", scan_rows)
+        assert _parse(self._swap(stream, 0, 3)) == _parse(stream)
+
+    @pytest.mark.parametrize("scan_rows", [2, 1 << 15])
+    def test_counter_tied_with_last_rejected(self, stream, monkeypatch, scan_rows):
+        monkeypatch.setattr(backtrace_cpu, "_SCAN_ROWS", scan_rows)
+        rows = bytearray(stream)
+        end = next(r for r in range(len(rows) // 16) if rows[16 * r + 15] & 0x80)
+        rows[16 * 0 + 10 : 16 * 0 + 13] = rows[16 * end + 10 : 16 * end + 13]
+        with pytest.raises(BacktraceStreamError, match="Last-flag"):
+            _parse(bytes(rows))
+
+    @pytest.mark.parametrize("scan_rows", [2, 1 << 15])
+    def test_foreign_id_in_a_later_pass_rejected(self, stream, monkeypatch, scan_rows):
+        monkeypatch.setattr(backtrace_cpu, "_SCAN_ROWS", scan_rows)
+        rows = bytearray(stream)
+        rows[16 * 5 + 13] ^= 0x01  # low bit of the alignment ID
+        with pytest.raises(BacktraceStreamError, match="interleaved"):
+            _parse(bytes(rows))
 
 
 class TestStepIndex:
