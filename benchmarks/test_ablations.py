@@ -17,6 +17,7 @@ Not a paper table, but the analysis behind several of its claims:
 
 import random
 import statistics
+from dataclasses import replace
 
 from repro.align import swg_align, wfa_align
 from repro.align.banded import banded_swg_score
@@ -24,10 +25,10 @@ from repro.reporting import format_comparison, format_table
 from repro.wfasic import (
     Aligner,
     AlignerTimings,
-    ComputeTimings,
     WfasicConfig,
     asic_report,
     max_efficient_aligners,
+    price,
 )
 from repro.wfasic.dma import DmaTimings, read_pair_cycles
 from repro.wfasic.pipeline import FluidPipelineSim, PipelineJob
@@ -129,18 +130,13 @@ def test_duplicate_edge_banks_ablation(report_table, benchmark):
     rng = random.Random(43)
     pairs = [random_pair(rng, 800, 0.1) for _ in range(3)]
     base = AlignerTimings()
-    no_dup = AlignerTimings(
-        compute=ComputeTimings(
-            cycles_per_group=base.compute.cycles_per_group + 1,
-            step_overhead=base.compute.step_overhead,
-        )
-    )
+    no_dup = replace(base, cycles_per_group=base.cycles_per_group + 1)
     cfg = WfasicConfig.paper_default(backtrace=False)
-    with_dup = sum(
-        Aligner(cfg, base).run(job_for(a, b)).cycles for a, b in pairs
-    )
-    without_dup = sum(
-        Aligner(cfg, no_dup).run(job_for(a, b)).cycles for a, b in pairs
+    # One trace per pair, priced with and without the duplicates.
+    traces = [Aligner(cfg).trace(job_for(a, b)) for a, b in pairs]
+    with_dup, without_dup = (
+        sum(price(t, cfg.parallel_sections, timings)[0] for t in traces)
+        for timings in (base, no_dup)
     )
     overhead = without_dup / with_dup - 1
     report_table(
@@ -157,7 +153,7 @@ def test_duplicate_edge_banks_ablation(report_table, benchmark):
     )
     assert 0.02 < overhead < 0.25
 
-    benchmark(lambda: Aligner(cfg, base).run(job_for(*pairs[0])))
+    benchmark(lambda: price(traces[0], cfg.parallel_sections, no_dup))
 
 
 def test_kmax_ablation(report_table, benchmark):

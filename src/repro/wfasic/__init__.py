@@ -9,7 +9,9 @@ Public surface:
 * :func:`batch_image` / :func:`batch_answers` — the CPU's side of every
   batch: the input image and MAX_READ_LEN, and the per-pair answers.
 * :class:`Aligner` — one Aligner module (Extend/Compute parallel
-  sections over banked wavefront vectors).
+  sections over banked wavefront vectors); :meth:`Aligner.trace` is its
+  dataflow and :func:`price` the cycles of a trace at any section count
+  and :class:`AlignerTimings`.
 * :class:`CpuBacktracer` — the CPU-side backtrace over the streamed
   origin data, with and without data separation (§4.5).
 * :func:`asic_report` — GF22FDX area/memory/frequency/power model.
@@ -26,7 +28,7 @@ from .accelerator import (
     max_efficient_aligners,
     schedule_makespan,
 )
-from .aligner import Aligner, AlignerRun, AlignerStats, AlignerTimings
+from .aligner import Aligner, AlignerRun, AlignerStats, AlignerTimings, AlignerTrace, price
 from .aligner_ram import RamAccurateAligner
 from .asic_model import (
     GF22_FREQUENCY_HZ,
@@ -44,10 +46,8 @@ from .backtrace_cpu import (
     StepIndex,
 )
 from .collector import CollectorBT, CollectorNBT, CollectorOutput
-from .compute import ComputeStage, ComputeTimings
 from .config import AXI_DATA_BYTES, BASES_PER_RAM_WORD, WfasicConfig
 from .dma import DmaTimings, read_pair_cycles, stream_cycles
-from .extend import ExtendStage, ExtendTimings
 from .extractor import ExtractedJob, Extractor
 from .fpga_model import U280, FpgaReport, fpga_report
 from .fifo import FifoError, ShowAheadFifo
@@ -59,6 +59,7 @@ __all__ = [
     "AlignerRun",
     "AlignerStats",
     "AlignerTimings",
+    "AlignerTrace",
     "AsicReport",
     "BASES_PER_RAM_WORD",
     "BacktraceStreamError",
@@ -66,14 +67,10 @@ __all__ = [
     "CollectorBT",
     "CollectorNBT",
     "CollectorOutput",
-    "ComputeStage",
-    "ComputeTimings",
     "CpuBacktraceResult",
     "CpuBacktraceWork",
     "CpuBacktracer",
     "DmaTimings",
-    "ExtendStage",
-    "ExtendTimings",
     "ExtractedJob",
     "FluidPipelineSim",
     "FpgaReport",
@@ -97,6 +94,7 @@ __all__ = [
     "configs_within_budget",
     "fpga_report",
     "max_efficient_aligners",
+    "price",
     "read_pair_cycles",
     "schedule_makespan",
     "stream_cycles",

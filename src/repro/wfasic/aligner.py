@@ -23,39 +23,77 @@ An Aligner runs the WFA loop of §2.3 under the hardware's constraints:
   granularity`` and tags it, so every Eq. 3 source window is a slice of
   a column and Compute and Extend write the frame column in place.
 
-Cycle accounting composes :class:`ComputeStage` and :class:`ExtendStage`
-latencies with a per-alignment setup charge (reading the length words
-from the Input_Seq RAMs, §4.3.2) and a result-drain charge.
+A run has two halves.  :meth:`Aligner.trace` is the dataflow: each
+step's band width and the longest 16-base block run of every
+``g = gcd(n_ps, 16)`` consecutive cells from the band's ``lo`` (plus the
+origin payload with backtrace on).  :func:`price` charges a trace the
+:class:`AlignerTimings` cycles at any multiple of ``g`` sections, and
+:meth:`Aligner.run` is the two together.  Backtrace-off traces are
+memoised in :data:`TRACE_MEMO`, a process-wide LRU bounded in bytes, so a
+design sweep traces each pair once per ``k_max``.  Backtrace-on runs
+bypass it: their payload is megabytes, and a workload replaying the same
+pairs would time the memo instead of the simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from math import gcd
+from typing import Callable
 
 import numpy as np
 
-from ..align.kernels import sequence_words
+from ..align.kernels import compute_kernel, extend_kernel, sequence_words
 from ..align.lattice import ScoreLattice
+from ..align.penalties import AffinePenalties
 from ..align.wfa import NULL_OFFSET
-from .compute import ComputeStage, ComputeTimings
 from .config import WfasicConfig
-from .extend import ExtendStage, ExtendTimings
 from .extractor import ExtractedJob
 from .packets import pack_origin_blocks
 from .rams import wavefront_geometry
 
-__all__ = ["AlignerTimings", "AlignerStats", "AlignerRun", "Aligner"]
+__all__ = [
+    "AlignerTimings",
+    "AlignerStats",
+    "AlignerRun",
+    "AlignerTrace",
+    "Aligner",
+    "TRACE_MEMO",
+    "price",
+]
 
 _SENTINEL_A = 0xFF
 _SENTINEL_B = 0xFE
 
+#: The largest trace group: 16 is the smallest section count that frames
+#: origin blocks (§4.3.3), so every backtrace-capable count is a multiple.
+_TRACE_GROUP = 16
+
 
 @dataclass(frozen=True)
 class AlignerTimings:
-    """All cycle constants of one Aligner, for calibration and ablation."""
+    """All cycle constants of one Aligner, for calibration and ablation.
 
-    compute: ComputeTimings = field(default_factory=ComputeTimings)
-    extend: ExtendTimings = field(default_factory=ExtendTimings)
+    Compute (§4.3.3): a group of ``n_ps`` cells costs
+    ``cycles_per_group``, two sequential M-window reads plus one write;
+    the I/D read and the origin concatenation overlap the M accesses, and
+    Fig. 6's duplicated edge banks serve the ``k ± 1`` windows in one
+    read.  ``step_overhead`` covers frame-column rotation, score tagging
+    and the termination check once per wavefront step (§4.3.1).
+
+    Extend (§4.3.2): "the comparator compares 16 bases of the sequences
+    at each clock cycle, after five initial cycles".  A group of ``n_ps``
+    cells extends in lockstep for ``pipeline_fill`` plus
+    ``cycles_per_block`` times its longest block run, at least one: a
+    group of boundary cells still computes its start addresses.
+    """
+
+    cycles_per_group: int = 3
+    step_overhead: int = 2
+    pipeline_fill: int = 5
+    cycles_per_block: int = 1
     #: Per-alignment setup: read ID/length words, reset wavefront columns.
     setup_cycles: int = 10
     #: Per-alignment drain: hand the score record to the Collector.
@@ -79,12 +117,13 @@ class AlignerStats:
 class AlignerRun:
     """Result of one alignment on one Aligner.
 
-    ``score`` is only meaningful when ``success`` is set; ``k_reached``
-    is the final diagonal (``len(b) - len(a)``) on success, or the last
-    attempted diagonal bound otherwise.  ``bt_payload`` holds the run's
-    origin blocks back to back in emission order when backtrace is
-    enabled, ``config.bt_block_bytes`` (40 at 64 PS) each; the Aligner
-    fills one ``bytearray``.
+    ``score`` is only meaningful when ``success`` is set.  ``k_reached``
+    is the final diagonal ``len(b) - len(a)`` whenever the wavefront loop
+    ran, so also on an Eq. 6 failure; it is 0 when the Aligner skipped
+    the pair (unsupported, or a final diagonal beyond ``±k_max``).
+    ``bt_payload`` holds the run's origin blocks back to back in emission
+    order when backtrace is enabled, ``config.bt_block_bytes`` (40 at
+    64 PS) each; the Aligner fills one ``bytearray``.
     """
 
     alignment_id: int
@@ -94,6 +133,129 @@ class AlignerRun:
     cycles: int
     stats: AlignerStats
     bt_payload: bytes | bytearray | None
+
+
+@dataclass(frozen=True, eq=False)
+class AlignerTrace:
+    """The dataflow of one alignment: everything :func:`price` needs.
+
+    ``widths`` holds the band width of every processed wavefront step,
+    score 0's single cell first; it is empty when the Aligner skipped
+    the pair.  ``block_maxima`` holds, step after step, the longest
+    16-base block run of each ``group`` consecutive cells from the
+    band's ``lo`` (uint16, or uint32 for reads past a megabase).  Both
+    arrays are read-only.  ``extend_blocks`` and ``extend_matches`` are
+    the run's totals.  With backtrace on, ``bt_payload`` holds the origin
+    blocks packed for ``bt_sections`` parallel sections; with it off,
+    both are ``None``.
+    """
+
+    success: bool
+    score: int
+    k_reached: int
+    group: int
+    widths: np.ndarray
+    block_maxima: np.ndarray
+    extend_blocks: int
+    extend_matches: int
+    bt_payload: bytearray | None
+    bt_sections: int | None
+
+
+def price(
+    trace: AlignerTrace, parallel_sections: int, timings: AlignerTimings
+) -> tuple[int, AlignerStats]:
+    """Cycles and work counters of ``trace`` on ``parallel_sections``
+    sections under ``timings``: arithmetic only, no alignment.
+
+    Raises ``ValueError`` when ``parallel_sections`` is not a multiple of
+    the trace's group, or when a trace with an origin payload is priced
+    at another section count than the one its blocks are packed for.
+    """
+    g = trace.group
+    if parallel_sections % g:
+        raise ValueError(
+            f"a trace of {g}-cell groups cannot price {parallel_sections} "
+            "parallel sections"
+        )
+    if trace.bt_payload is not None and parallel_sections != trace.bt_sections:
+        raise ValueError(
+            f"origin blocks packed for {trace.bt_sections} sections cannot "
+            f"be priced at {parallel_sections}"
+        )
+    t = timings
+    widths = trace.widths
+    steps = len(widths)
+    if not steps:
+        # The Aligner skipped the pair: setup, no drain.
+        return t.setup_cycles, AlignerStats()
+    groups = -(-widths // parallel_sections)
+    maxima = trace.block_maxima
+    ratio = parallel_sections // g
+    if ratio > 1:
+        # Step i's j-th group is its trace groups ratio*j .. ratio*j + ratio - 1.
+        sub = -(-widths // g)
+        firsts = np.cumsum(sub) - sub - ratio * (np.cumsum(groups) - groups)
+        starts = ratio * np.arange(int(groups.sum())) + np.repeat(firsts, groups)
+        maxima = np.maximum.reduceat(maxima, starts)
+    longest = int(np.maximum(maxima, 1).sum(dtype=np.int64))
+    extend_cycles = int(groups.sum()) * t.pipeline_fill + t.cycles_per_block * longest
+    # Score 0 has no Compute groups, only the step overhead.
+    compute_cycles = t.cycles_per_group * int(groups[1:].sum()) + t.step_overhead * (steps - 1)
+    stats = AlignerStats(
+        wavefront_steps=steps,
+        cells_processed=3 * int(widths[1:].sum()),
+        extend_blocks=trace.extend_blocks,
+        extend_matches=trace.extend_matches,
+        peak_band_width=int(widths.max()),
+        compute_cycles=compute_cycles,
+        extend_cycles=extend_cycles,
+    )
+    cycles = t.setup_cycles + t.step_overhead + compute_cycles + extend_cycles + t.drain_cycles
+    return cycles, stats
+
+
+#: ``(seq_a, seq_b, k_max, penalties, g)``: everything a payload-free
+#: trace depends on.
+_MemoKey = tuple[str, str, int, AffinePenalties, int]
+
+
+class _TraceMemo:
+    """An LRU of payload-free traces, bounded by the bytes of their
+    sequences and arrays."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict[_MemoKey, tuple[AlignerTrace, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def trace(self, key: _MemoKey, make: Callable[[], AlignerTrace]) -> AlignerTrace:
+        """The trace memoised under ``key``; ``make()`` traces a miss."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key][0]
+            trace = make()
+            size = len(key[0]) + len(key[1]) + trace.widths.nbytes + trace.block_maxima.nbytes
+            if size <= self.max_bytes:
+                self._entries[key] = (trace, size)
+                self.nbytes += size
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+            return trace
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+#: The process's payload-free traces: at most 32 MiB of them.
+TRACE_MEMO = _TraceMemo(32 << 20)
 
 
 class _FrameColumns:
@@ -136,6 +298,26 @@ class _FrameColumns:
         return col
 
 
+class _StepLog:
+    """What a trace keeps of each wavefront step's Extend."""
+
+    def __init__(self, group: int, dtype: type[np.unsignedinteger]) -> None:
+        self.group = group
+        self.dtype = dtype
+        self.widths: list[int] = []
+        self.maxima: list[np.ndarray] = []
+        self.blocks = 0
+        self.matches = 0
+
+    def record(self, blocks: np.ndarray, matches: int) -> None:
+        self.widths.append(len(blocks))
+        self.blocks += int(blocks.sum())
+        self.matches += matches
+        if self.group > 1:
+            blocks = np.maximum.reduceat(blocks, np.arange(0, len(blocks), self.group))
+        self.maxima.append(blocks.astype(self.dtype))
+
+
 class Aligner:
     """One Aligner module: ``n_ps`` parallel sections plus their RAMs."""
 
@@ -149,49 +331,76 @@ class Aligner:
     # -- public API ------------------------------------------------------------
 
     def run(self, job: ExtractedJob) -> AlignerRun:
-        """Align one extracted pair under the hardware constraints."""
-        stats = AlignerStats()
-        bt = bytearray() if self.config.backtrace else None
+        """Align one extracted pair under the hardware constraints: its
+        :meth:`trace`, priced at this Aligner's sections and timings."""
+        trace = self.trace(job)
+        cycles, stats = price(trace, self.config.parallel_sections, self.timings)
+        return AlignerRun(
+            alignment_id=job.alignment_id,
+            success=trace.success,
+            score=trace.score,
+            k_reached=trace.k_reached,
+            cycles=cycles,
+            stats=stats,
+            bt_payload=trace.bt_payload,
+        )
 
-        if not job.supported:
-            # §4.2: the Aligner skips the pair; Success reports the failure.
-            return AlignerRun(
-                alignment_id=job.alignment_id,
-                success=False,
-                score=0,
-                k_reached=0,
-                cycles=self.timings.setup_cycles,
-                stats=stats,
-                bt_payload=bt,
-            )
+    def trace(self, job: ExtractedJob) -> AlignerTrace:
+        """The dataflow of one pair, in groups of ``gcd(n_ps, 16)`` cells.
 
+        With backtrace off, a supported pair's trace comes from (or goes
+        to) :data:`TRACE_MEMO`.
+        """
+        cfg = self.config
+        group = gcd(cfg.parallel_sections, _TRACE_GROUP)
+        if cfg.backtrace or not job.supported:
+            return self._trace(job, group)
+        key = (job.seq_a, job.seq_b, cfg.k_max, cfg.penalties, group)
+        return TRACE_MEMO.trace(key, lambda: self._trace(job, group))
+
+    # -- the dataflow ----------------------------------------------------------
+
+    def _trace(self, job: ExtractedJob, group: int) -> AlignerTrace:
+        cfg = self.config
+        bt = bytearray() if cfg.backtrace else None
         a, b = job.seq_a, job.seq_b
-        n, m = len(a), len(b)
-        k_final = m - n
+        k_final = len(b) - len(a)
+        # A cell's block count is at most min(n, m) // 16 + 1.
+        dtype = np.uint16 if min(len(a), len(b)) < 0xFFFF * 16 else np.uint32
+        log = _StepLog(group, dtype)
+        score = None
+        if job.supported and abs(k_final) <= cfg.k_max:
+            score = self._align(a, b, log, bt)
+        # Otherwise the Aligner skips the pair (§4.2), or its terminating
+        # diagonal does not exist in the vectors; Success reports either.
+        widths = np.array(log.widths, dtype=np.int64)
+        maxima = np.concatenate(log.maxima) if log.maxima else np.zeros(0, dtype)
+        widths.flags.writeable = False
+        maxima.flags.writeable = False
+        return AlignerTrace(
+            success=score is not None,
+            score=score or 0,
+            k_reached=k_final if log.widths else 0,
+            group=group,
+            widths=widths,
+            block_maxima=maxima,
+            extend_blocks=log.blocks,
+            extend_matches=log.matches,
+            bt_payload=bt,
+            bt_sections=None if bt is None else cfg.parallel_sections,
+        )
+
+    def _align(
+        self, a: str, b: str, log: _StepLog, bt: bytearray | None
+    ) -> int | None:
+        """Run the wavefront loop; the score, or ``None`` once Eq. 6's
+        ``Score_max`` is passed."""
         cfg = self.config
         p = cfg.penalties
-        n_ps = cfg.parallel_sections
-        cycles = self.timings.setup_cycles
-
-        if abs(k_final) > cfg.k_max:
-            # The terminating diagonal does not exist in the vectors.
-            return AlignerRun(
-                alignment_id=job.alignment_id,
-                success=False,
-                score=0,
-                k_reached=0,
-                cycles=cycles,
-                stats=stats,
-                bt_payload=bt,
-            )
-
+        n, m = len(a), len(b)
+        k_final = m - n
         aw = sequence_words(a, sentinel=_SENTINEL_A)
         bw = sequence_words(b, sentinel=_SENTINEL_B)
-
-        compute = ComputeStage(
-            n_ps, emit_origins=cfg.backtrace, timings=self.timings.compute
-        )
-        extend = ExtendStage(n_ps, timings=self.timings.extend)
 
         reach = min(cfg.k_max, max(n, m))
         geo = wavefront_geometry(cfg)
@@ -206,24 +415,10 @@ class Aligner:
         # Score 0: the initial M cell, extended in place.
         m0 = M.rotate(0, base, base + 1)[base : base + 1]
         m0[0] = 0
-        ext, ext_cycles = extend.run(aw, bw, n, m, m0, 0, out=m0)
-        cycles += ext_cycles + self.timings.compute.step_overhead
-        stats.extend_cycles += ext_cycles
-        stats.wavefront_steps += 1
-        stats.peak_band_width = 1
-        stats.extend_blocks += int(ext.blocks.sum())
-        stats.extend_matches += ext.matches
+        ext = extend_kernel(aw, bw, n, m, m0, 0, out=m0)
+        log.record(ext.blocks, ext.matches)
         if k_final == 0 and m0[0] == m:
-            cycles += self.timings.drain_cycles
-            return AlignerRun(
-                alignment_id=job.alignment_id,
-                success=True,
-                score=0,
-                k_reached=k_final,
-                cycles=cycles,
-                stats=stats,
-                bt_payload=bt,
-            )
+            return 0
 
         x, oe, e = p.mismatch, p.gap_open_total, p.gap_extend
         step = p.score_granularity
@@ -233,17 +428,7 @@ class Aligner:
         while True:
             s += step
             if s > cfg.max_score:
-                # Eq. 6 exceeded: terminate with Success cleared.
-                cycles += self.timings.drain_cycles
-                return AlignerRun(
-                    alignment_id=job.alignment_id,
-                    success=False,
-                    score=0,
-                    k_reached=k_final,
-                    cycles=cycles,
-                    stats=stats,
-                    bt_payload=bt,
-                )
+                return None
 
             band = self._lattice.m_band(s)
             if band is None:
@@ -257,7 +442,6 @@ class Aligner:
                 # width step contributes no blocks).
                 continue
             lo, hi = band.lo, band.hi
-            width = hi - lo + 1
             start, stop = lo + base, hi + base + 1
 
             # Eq. 3's sources, read before the frame column rotates in:
@@ -267,7 +451,7 @@ class Aligner:
             i_e = I.read(s - e)
             d_e = D.read(s - e)
             m_new = M.rotate(s, start, stop)[start:stop]
-            out, comp_cycles = compute.run(
+            out = compute_kernel(
                 m_x[start:stop],
                 m_oe[start - 1 : stop - 1],
                 i_e[start - 1 : stop - 1],
@@ -276,35 +460,18 @@ class Aligner:
                 diagonals[start:stop],
                 n,
                 m,
+                emit_origins=bt is not None,
                 out=(
                     m_new,
                     I.rotate(s, start, stop)[start:stop],
                     D.rotate(s, start, stop)[start:stop],
                 ),
             )
-            cycles += comp_cycles
-            stats.compute_cycles += comp_cycles
-            stats.wavefront_steps += 1
-            stats.cells_processed += 3 * width
-            stats.peak_band_width = max(stats.peak_band_width, width)
-
             if bt is not None:
-                bt.extend(pack_origin_blocks(out.origins, n_ps))
+                bt.extend(pack_origin_blocks(out.origins, cfg.parallel_sections))
 
-            ext, ext_cycles = extend.run(aw, bw, n, m, m_new, lo, out=m_new)
-            cycles += ext_cycles
-            stats.extend_cycles += ext_cycles
-            stats.extend_blocks += int(ext.blocks.sum())
-            stats.extend_matches += ext.matches
+            ext = extend_kernel(aw, bw, n, m, m_new, lo, out=m_new)
+            log.record(ext.blocks, ext.matches)
 
             if lo <= k_final <= hi and m_new[k_final - lo] == m:
-                cycles += self.timings.drain_cycles
-                return AlignerRun(
-                    alignment_id=job.alignment_id,
-                    success=True,
-                    score=s,
-                    k_reached=k_final,
-                    cycles=cycles,
-                    stats=stats,
-                    bt_payload=bt,
-                )
+                return s

@@ -168,17 +168,17 @@ class TestBacktraceEmission:
     def test_payload_unpacks_to_each_steps_codes(self, monkeypatch, n_ps):
         # Every step's codes, zero-padded to whole groups of n_ps cells,
         # back to back: what the run's one buffer must unpack to.
-        import repro.wfasic.compute as compute
+        import repro.wfasic.aligner as aligner_module
 
         steps = []
-        kernel = compute.compute_kernel
+        kernel = aligner_module.compute_kernel
 
         def spy(*args, **kwargs):
             out = kernel(*args, **kwargs)
             steps.append(out.origins)
             return out
 
-        monkeypatch.setattr(compute, "compute_kernel", spy)
+        monkeypatch.setattr(aligner_module, "compute_kernel", spy)
         rng = random.Random(70)
         a, b = random_pair(rng, 150, 0.15)
         cfg = WfasicConfig(parallel_sections=n_ps, backtrace=True)

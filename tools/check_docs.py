@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Documentation gates: markdown link check + docstring coverage.
+"""Documentation gates: markdown links, paper-map paths, docstring coverage.
 
-Two checks, both dependency-free (CI's ``docs`` job runs them):
+Three checks, all dependency-free (CI's ``docs`` job runs them):
 
 * **Link check** — every relative link or image in the repository's
   markdown (README.md, DESIGN.md, CHANGES.md, ROADMAP.md, docs/**)
   must point at a file that exists.  External ``http(s)`` links and
   pure ``#fragment`` links are skipped (CI must not depend on the
   network).
+* **Paper-map paths** — every backticked code path in
+  ``docs/paper-map.md`` (a token with a ``/`` or a ``.py`` suffix, such
+  as ``wfasic/aligner.py`` or ``soc/``) must exist under ``src/repro/``
+  or at the repository root, so the paper cross-reference cannot go
+  stale when a module moves or is deleted.
 * **Docstring coverage** — the public API of the packages listed in
   ``COVERED_MODULES`` (the observability layer, the batch engine and
   the batched kernels) must be fully documented: module docstrings,
@@ -19,7 +24,8 @@ Run from the repository root:
 
     PYTHONPATH=src python tools/check_docs.py
 
-Exits non-zero listing every broken link / undocumented symbol.
+Exits non-zero listing every broken link, stale path and undocumented
+symbol.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ COVERED_MODULES = (
     "repro.engine.validation",
     "repro.align.wfa_batched",
     "repro.align.profile",
+    "repro.wfasic.aligner",
     "repro.fleet",
     "repro.fleet.chip",
     "repro.fleet.scheduler",
@@ -66,6 +73,13 @@ COVERED_MODULES = (
     "repro.fleet.report",
     "repro.fleet.handbook",
 )
+
+#: The paper cross-reference whose code paths must exist.
+PAPER_MAP = "docs/paper-map.md"
+
+#: Backticked tokens without spaces; paths among them have a ``/`` or
+#: a ``.py`` suffix.
+_CODE_RE = re.compile(r"`([^`\s]+)`")
 
 #: ``[text](target)`` and ``![alt](target)`` — good enough for our docs
 #: (no reference-style links in this repository).
@@ -102,6 +116,17 @@ def check_links() -> list[str]:
                 problems.append(
                     f"{md.relative_to(REPO_ROOT)}: broken link -> {target}"
                 )
+    return problems
+
+
+def check_paper_map() -> list[str]:
+    """Backticked code paths of the paper map that exist nowhere."""
+    problems: list[str] = []
+    for token in _CODE_RE.findall((REPO_ROOT / PAPER_MAP).read_text()):
+        if "/" not in token and not token.endswith(".py"):
+            continue
+        if not any((root / token).exists() for root in (REPO_ROOT / "src" / "repro", REPO_ROOT)):
+            problems.append(f"{PAPER_MAP}: no such code path -> {token}")
     return problems
 
 
@@ -158,16 +183,18 @@ def _check_methods(module_name: str, class_name: str, cls) -> list[str]:
 
 def main() -> int:
     broken = check_links()
+    stale = check_paper_map()
     undocumented = check_docstrings()
-    for problem in broken + undocumented:
+    for problem in broken + stale + undocumented:
         print(problem)
     print(
         f"link check: {len(broken)} broken link(s) in "
-        f"{len(_markdown_files())} markdown file(s); docstring coverage: "
+        f"{len(_markdown_files())} markdown file(s); paper map: "
+        f"{len(stale)} stale code path(s); docstring coverage: "
         f"{len(undocumented)} undocumented symbol(s) in "
         f"{len(COVERED_MODULES)} module(s)"
     )
-    return 1 if (broken or undocumented) else 0
+    return 1 if (broken or stale or undocumented) else 0
 
 
 if __name__ == "__main__":
